@@ -26,8 +26,9 @@ from .analysis import (
 from .constants import constants
 from .engine import rnorm_grid_2d, rnorm_radial_odd
 from .fitting import FitProblem, min_norm_fit, refinement_study
-from .grids import GridFunction2D
-from .radon import RadialFunction, UnsupportedDimensionError, bump_poly, grid_radon_2d
+from .grids import GridFunction2D, read_csv
+# grid_radon_2d is unused here; it stays importable from rnorm.cli
+from .radon import RadialFunction, UnsupportedDimensionError, bump_poly, check_sinogram_size, grid_radon_2d
 from .spectral import PwlCurvatureMeasure2D
 
 EXIT_OK = 0
@@ -116,24 +117,24 @@ def cmd_radial(args) -> int:
 def cmd_grid(args) -> int:
     config = {"command": "grid", "input": args.input, "K": args.K, "J": args.J}
     try:
+        check_sinogram_size(args.K, args.J)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         with open(args.input) as fh:
             f = GridFunction2D.from_csv(fh.read())
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     rep = rnorm_grid_2d(f, K=args.K, J=args.J)
-    sino = grid_radon_2d(f, args.K, args.J)
-    _emit(_report(config, rep.to_dict()), args.out, {"sinogram.csv": sino.to_csv()})
+    _emit(_report(config, rep.to_dict()), args.out, {"sinogram.csv": rep.sinogram.to_csv()})
     return EXIT_OK
 
 
 def _load_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path) as fh:
-        rows = fh.read().strip().splitlines()
-    header = rows[0].strip().lower().split(",")
-    if header[-1] != "y" or not all(c.startswith("x") for c in header[:-1]):
-        raise ValueError("samples CSV must have header 'x1,...,xd,y'")
-    data = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
+        data = read_csv(fh.read(), "x[^,]*(,x[^,]*)*,y", label="x1,...,xd,y")
     return data[:, :-1], data[:, -1]
 
 
@@ -145,7 +146,7 @@ def cmd_fit(args) -> int:
     }
     try:
         X, y = _load_samples(args.samples)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     p = FitProblem(X, y, K=args.K, J=args.J, tol=args.tol, use_linear_unit=not args.no_linear_unit)
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="grid CSV (x,y,value)")
     p.add_argument("--K", type=int, default=256, help="number of sinogram angles")
     p.add_argument("--J", type=int, default=513, help="number of sinogram offsets")
-    p.add_argument("--out", help="directory for report.json + sinogram.csv")
+    p.add_argument("--out", help="directory for report.json + sinogram.csv of R{(-Delta)^(3/2) f}")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("fit", help="minimum-norm measure fit to sampled values")

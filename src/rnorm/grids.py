@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
+
+# largest deviation of a CSV axis from a uniform, shared axis, as a fraction of h
+AXIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,30 +77,66 @@ class GridFunction2D:
         return ring / peak
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,y,value\n")
-        ax = self.axis()
-        for i, x in enumerate(ax):
-            for j, y in enumerate(ax):
-                buf.write(f"{x:.17g},{y:.17g},{self.values[i, j]:.17g}\n")
-        return buf.getvalue()
+        return write_table_csv("x,y,value", self.axis(), self.axis(), self.values)
 
     @staticmethod
     def from_csv(text: str) -> "GridFunction2D":
-        rows = text.strip().splitlines()
-        if not rows or rows[0].strip().lower() != "x,y,value":
-            raise ValueError("grid CSV must start with header 'x,y,value'")
-        data = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
-        xs = np.unique(data[:, 0])
+        xs, ys, values = read_table_csv(text, "x,y,value")
         n = xs.size
-        if n * n != data.shape[0]:
-            raise ValueError("grid CSV is not a full square grid")
         h = float(xs[1] - xs[0]) if n > 1 else 1.0
-        values = np.zeros((n, n))
-        idx = lambda c: np.searchsorted(xs, c)
-        for x, y, v in data:
-            values[idx(x), idx(y)] = v
+        tol = AXIS_TOL * h
+        if np.abs(np.diff(xs) - h).max(initial=0.0) > tol:
+            raise ValueError("grid CSV x axis is not uniformly spaced")
+        if ys.size != n or np.abs(ys - xs).max() > tol:
+            raise ValueError("grid CSV y axis differs from its x axis")
         return GridFunction2D(values, h)
+
+
+def read_csv(text: str, header: str, label: str | None = None) -> np.ndarray:
+    """Rows of a numeric CSV whose lower-cased first line matches the regex ``header``.
+
+    A bad header (shown as ``label``, default ``header``), a row whose column
+    count differs from the header's, an empty body or a non-finite value
+    raises a one-line ValueError.
+    """
+    first, _, body = text.strip().partition("\n")
+    first = first.strip().lower()
+    if not re.fullmatch(header, first):
+        raise ValueError(f"CSV must start with header '{label or header}'")
+    if not body.strip():
+        raise ValueError("CSV has no data rows")
+    ncols = first.count(",") + 1
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValueError(f"CSV body is not {ncols} numeric columns: {exc}") from None
+    if data.shape[1] != ncols:
+        raise ValueError(f"CSV rows have {data.shape[1]} columns, the header has {ncols}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("CSV values must be finite")
+    return data
+
+
+def read_table_csv(text: str, header: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A 3-column CSV (a, b, value) as sorted unique a, sorted unique b and the value matrix.
+
+    Rows may come in any order; every (a, b) cell must appear exactly once.
+    """
+    data = read_csv(text, header)
+    a, b = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if a.size * b.size != data.shape[0]:
+        raise ValueError("CSV is not a full grid: the row count is not the product of the axis sizes")
+    values = np.full((a.size, b.size), np.nan)
+    values[np.searchsorted(a, data[:, 0]), np.searchsorted(b, data[:, 1])] = data[:, 2]
+    if np.isnan(values).any():
+        raise ValueError("CSV has a duplicated cell")
+    return a, b, values
+
+
+def write_table_csv(header: str, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> str:
+    """The CSV read_table_csv reads: one (a, b, value) row per cell, b varying fastest, as %.17g."""
+    rows = np.column_stack([np.repeat(a, b.size), np.tile(b, a.size), values.ravel()])
+    return f"{header}\n" + ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
 def sample_grid(func, n: int, half_extent: float) -> GridFunction2D:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,7 +10,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .constants import constants
-from .grids import GridFunction2D
+from .grids import GridFunction2D, read_table_csv, write_table_csv
 from .piecewise import (
     PiecewisePolynomial,
     poly_antiderivative,
@@ -75,23 +74,11 @@ class Sinogram:
         return 2.0 * float(np.abs(self.values).sum()) * (math.pi / self.K) * self.db
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("theta,b,value\n")
-        for k, th in enumerate(self.angles):
-            for j, b in enumerate(self.offsets):
-                buf.write(f"{th:.17g},{b:.17g},{self.values[k, j]:.17g}\n")
-        return buf.getvalue()
+        return write_table_csv("theta,b,value", self.angles, self.offsets, self.values)
 
     @staticmethod
     def from_csv(text: str) -> "Sinogram":
-        rows = text.strip().splitlines()
-        if not rows or rows[0].strip().lower() != "theta,b,value":
-            raise ValueError("sinogram CSV must start with header 'theta,b,value'")
-        data = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
-        angles = np.unique(data[:, 0])
-        offsets = np.unique(data[:, 1])
-        values = data[:, 2].reshape(angles.size, offsets.size)
-        return Sinogram(angles, offsets, values)
+        return Sinogram(*read_table_csv(text, "theta,b,value"))
 
 
 @dataclass(frozen=True)
@@ -226,12 +213,17 @@ def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, s
     return samples.reshape(offsets.size, t.size).sum(axis=1) * step
 
 
-def grid_radon_2d(f: GridFunction2D, K: int, J: int, offset_range: float | None = None) -> Sinogram:
-    """Sampled Radon transform of a 2-D grid function (bilinear, step h/2)."""
+def check_sinogram_size(K: int, J: int) -> None:
+    """Raise ValueError unless a grid sinogram has at least 32 angles and 64 offsets."""
     if K < 32:
         raise ValueError(f"need at least 32 angles, got {K}")
     if J < 64:
         raise ValueError(f"need at least 64 offsets, got {J}")
+
+
+def grid_radon_2d(f: GridFunction2D, K: int, J: int, offset_range: float | None = None) -> Sinogram:
+    """Sampled Radon transform of a 2-D grid function (bilinear, step h/2)."""
+    check_sinogram_size(K, J)
     B = OFFSET_MARGIN * f.half_diagonal if offset_range is None else float(offset_range)
     if offset_range is not None and B < f.half_diagonal:
         ax = f.axis()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rnorm import sample_grid
+from rnorm import Sinogram, constants, sample_grid
 from rnorm.cli import EXIT_DIMENSION, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 
 
@@ -59,6 +59,35 @@ def test_grid_zero_function(tmp_path, capsys):
     assert report["result"]["value"] == pytest.approx(0.0, abs=1e-12)
     assert (out / "report.json").exists()
     assert (out / "sinogram.csv").exists()
+
+
+def test_grid_sinogram_csv_sums_to_the_reported_value(tmp_path, capsys):
+    f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), 32, 6.0)
+    path = tmp_path / "gauss.csv"
+    path.write_text(f.to_csv())
+    out = tmp_path / "out"
+    code, report = _run(capsys, "grid", "--input", str(path), "--K", "32", "--J", "65", "--out", str(out))
+    assert code == EXIT_OK
+    sino = Sinogram.from_csv((out / "sinogram.csv").read_text())
+    assert sino.values.shape == (32, 65)
+    value = report["result"]["value"]
+    assert value > 0
+    assert constants(2).gamma_d * sino.l1() == pytest.approx(value, rel=1e-12)
+
+
+def _run_failing(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code
+
+
+@pytest.mark.parametrize("flags", [("--K", "16"), ("--K", "31"), ("--J", "63")])
+def test_grid_too_small_sinogram_exits_2_before_reading(flags, capsys):
+    # the input does not exist: the size check comes first
+    assert _run_failing(capsys, "grid", "--input", "/nonexistent/grid.csv", *flags) == EXIT_USAGE
 
 
 def test_grid_missing_file_exits_4(capsys):
@@ -123,6 +152,21 @@ def test_fit_bad_header_exits_4(tmp_path, capsys):
     path.write_text("a,b,c\n1,2,3\n")
     code, _ = _run(capsys, "fit", "--samples", str(path))
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1,x2,y\n",  # header only
+        "",  # empty file
+        "x1,x2,y\n0.1,0.2,nan\n0.3,0.4,1.0\n",  # non-finite target
+        "x1,x2,y\n0.1,0.2\n",  # missing column
+    ],
+)
+def test_fit_malformed_samples_exit_4(tmp_path, capsys, text):
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    assert _run_failing(capsys, "fit", "--samples", str(path)) == EXIT_IO
 
 
 def test_diagnose_pyramid_geometry(tmp_path, capsys):

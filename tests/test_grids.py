@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rnorm import GridFunction2D, sample_grid
+from rnorm.grids import read_csv
 
 
 def test_sample_grid_shape_and_axis():
@@ -35,13 +36,87 @@ def test_csv_round_trip_exact():
     assert np.array_equal(g.values, f.values)
 
 
+def test_csv_rows_in_any_order():
+    f = sample_grid(lambda X, Y: np.sin(X) * np.cos(2 * Y), 16, 2.0)
+    header, *rows = f.to_csv().splitlines()
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    g = GridFunction2D.from_csv("\n".join([header] + shuffled))
+    assert np.array_equal(g.values, f.values)
+
+
+def test_csv_writer_matches_per_element_format():
+    f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)) - 0.5 * X, 16, 2.0)
+    lines = ["x,y,value"]
+    ax = f.axis()
+    for i, x in enumerate(ax):
+        for j, y in enumerate(ax):
+            lines.append(f"{x:.17g},{y:.17g},{f.values[i, j]:.17g}")
+    assert f.to_csv() == "\n".join(lines) + "\n"
+
+
+def _grid_rows(n=16):
+    f = sample_grid(lambda X, Y: X * Y, n, 1.0)
+    return f.to_csv().splitlines()
+
+
+def _with_axis(rows, col, transform):
+    out = [rows[0]]
+    for r in rows[1:]:
+        cells = r.split(",")
+        cells[col] = repr(transform(float(cells[col])))
+        out.append(",".join(cells))
+    return "\n".join(out)
+
+
 def test_csv_rejects_bad_header_and_partial_grid():
     with pytest.raises(ValueError):
         GridFunction2D.from_csv("a,b,c\n0,0,1\n")
-    f = sample_grid(lambda X, Y: X, 16, 1.0)
-    truncated = "\n".join(f.to_csv().splitlines()[:-5])
+    truncated = "\n".join(_grid_rows()[:-5])
     with pytest.raises(ValueError):
         GridFunction2D.from_csv(truncated)
+
+
+def test_csv_rejects_duplicated_cell():
+    rows = _grid_rows()
+    # the row count still matches 16^2, but one cell appears twice and one never
+    rows[2] = rows[1]
+    with pytest.raises(ValueError, match="duplicated"):
+        GridFunction2D.from_csv("\n".join(rows))
+
+
+def test_csv_rejects_nonuniform_x_axis():
+    # stretch the positive half of the axis by 1%
+    text = _with_axis(_grid_rows(), 0, lambda x: x * 1.01 if x > 0 else x)
+    with pytest.raises(ValueError, match="uniformly"):
+        GridFunction2D.from_csv(text)
+
+
+def test_csv_rejects_y_axis_unlike_x_axis():
+    text = _with_axis(_grid_rows(), 1, lambda y: y + 1e-3)
+    with pytest.raises(ValueError, match="y axis"):
+        GridFunction2D.from_csv(text)
+    # a shift far below 1e-9 h is rounding, not a different axis
+    h = 1.0 / 16
+    g = GridFunction2D.from_csv(_with_axis(_grid_rows(), 1, lambda y: y + 1e-12 * h))
+    assert g.n == 16
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x,y,value\n", "no data rows"),
+        ("x,y,value\n0,0\n", "columns"),
+        ("x,y,value\n0,0,1\n0,1\n", "columns"),
+        ("x,y,value\n0,0,abc\n", "numeric"),
+        ("x,y,value\n0,0,nan\n", "finite"),
+        ("x,y,value\n0,0,inf\n", "finite"),
+        ("theta,b,value\n0,0,1\n", "header"),
+    ],
+)
+def test_read_csv_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message) as info:
+        read_csv(text, "x,y,value")
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -159,6 +159,24 @@ class TestDualAndInverse:
         assert np.allclose(s.values, gauss_sino.values, rtol=1e-12, atol=1e-15)
         assert np.allclose(s.offsets, gauss_sino.offsets)
 
+    def test_sinogram_csv_rows_in_any_order(self):
+        rng = np.random.default_rng(0)
+        s = Sinogram(np.arange(32) * math.pi / 32, np.linspace(-2.0, 2.0, 65), rng.standard_normal((32, 65)))
+        header, *rows = s.to_csv().splitlines()
+        for order in (rows[::-1], [rows[i] for i in rng.permutation(len(rows))]):
+            back = Sinogram.from_csv("\n".join([header] + order))
+            assert np.array_equal(back.angles, s.angles)
+            assert np.array_equal(back.offsets, s.offsets)
+            assert np.array_equal(back.values, s.values)
+
+    def test_sinogram_csv_writer_matches_per_element_format(self):
+        s = Sinogram(np.arange(4) * math.pi / 4, np.linspace(-1.0, 1.0, 5), np.arange(20.0).reshape(4, 5) / 7 - 1)
+        lines = ["theta,b,value"]
+        for k, th in enumerate(s.angles):
+            for j, b in enumerate(s.offsets):
+                lines.append(f"{th:.17g},{b:.17g},{s.values[k, j]:.17g}")
+        assert s.to_csv() == "\n".join(lines) + "\n"
+
     def test_sinogram_l1_of_ones(self):
         angles = np.arange(32) * math.pi / 32
         offsets = np.linspace(-1.0, 1.0, 65)

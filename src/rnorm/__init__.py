@@ -37,9 +37,11 @@ from .spectral import (
     pwl_fourier_ray,
 )
 from .engine import (
+    AtomicMeasure,
     FiniteReluNet,
     RbarBounds,
     RNormReport,
+    even_part,
     grad_at_infinity,
     grad_at_infinity_estimate,
     laplacian_lower_bound,
@@ -50,11 +52,9 @@ from .engine import (
     sobolev_upper_bound_2d,
 )
 from .fitting import (
-    AtomicMeasure,
     FitProblem,
     FitResult,
     build_dictionary,
-    even_part,
     lp_oracle,
     min_norm_fit,
     refinement_study,

@@ -46,11 +46,10 @@ def _version() -> str:
 
 
 def _report(config: dict, payload: dict, d: int = 2) -> dict:
-    cst = constants(d)
     return {
         "version": _version(),
         "config": config,
-        "constants": {"d": cst.d, "gamma_d": cst.gamma_d, "c_d": cst.c_d},
+        "constants": constants(d).as_dict(),
         "result": payload,
     }
 
@@ -210,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rnorm",
         description="Representational cost of functions as infinite-width two-layer ReLU networks.",
     )
-    ap.add_argument("--threads", type=int, default=1, help="worker count hint; results are identical across counts")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("radial", help="exact R-norm of a radial function (odd d >= 3)")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,29 +25,31 @@ ATOM_MERGE_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class FiniteReluNet:
-    """Explicit two-layer ReLU net: sum a_i [w_i.x - b_i]_+ + v.x + c."""
+    """Explicit two-layer ReLU net: sum a_i [w_i.x - b_i]_+ + v.x + c.
 
-    d: int
-    units: tuple  # of (a, w, b)
-    v: np.ndarray | None = None
-    c: float = 0.0
+    The n units are kept as read-only arrays, weights a (n,), unit directions
+    W (n, d) and offsets b (n,), not as n Python objects per field.
+    """
 
-    def __post_init__(self):
-        units = []
-        for a, w, b in self.units:
-            w = np.asarray(w, dtype=float)
-            if w.shape != (self.d,):
-                raise ValueError("unit direction has wrong dimension")
-            if abs(np.linalg.norm(w) - 1.0) > UNIT_NORM_TOL:
-                raise ValueError("unit directions must have norm 1 (to 1e-12)")
-            w.setflags(write=False)
-            units.append((float(a), w, float(b)))
-        v = np.zeros(self.d) if self.v is None else np.asarray(self.v, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "units", tuple(units))
-        object.__setattr__(self, "v", v)
+    def __init__(self, d: int, units=(), v=None, c: float = 0.0):
+        units = tuple(units)
+        if any(np.shape(w) != (d,) for _, w, _ in units):
+            raise ValueError("unit direction has wrong dimension")
+        W = np.array([w for _, w, _ in units], dtype=float).reshape(len(units), d)
+        if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > UNIT_NORM_TOL):
+            raise ValueError("unit directions must have norm 1 (to 1e-12)")
+        self.d, self.c, self.W = d, c, W
+        self.a = np.array([a for a, _, _ in units], dtype=float)
+        self.b = np.array([b for _, _, b in units], dtype=float)
+        self.v = np.zeros(d) if v is None else np.array(v, dtype=float)
+        for arr in (self.a, self.W, self.b, self.v):
+            arr.setflags(write=False)
+
+    @property
+    def units(self) -> tuple:
+        """The (a, w, b) of each unit; w is a row of W."""
+        return tuple(zip(self.a.tolist(), self.W, self.b.tolist()))
 
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -119,44 +122,81 @@ def rbar_bounds(rnorm: float, grad_inf) -> RbarBounds:
     return RbarBounds(rnorm=float(rnorm), grad_inf=np.asarray(grad_inf, dtype=float))
 
 
-def _even_measure_atoms(net: FiniteReluNet) -> list[tuple[np.ndarray, float, float]]:
-    """Unique even measure of a net: mass a_i/2 at (w_i, b_i) and (-w_i, -b_i), merged."""
-    atoms: list[list] = []  # [w, b, mass]
+def _merge_labels(keys: np.ndarray) -> np.ndarray:
+    """Per-column cluster labels: a column's clusters break only where its sorted
+    values jump by more than ATOM_MERGE_TOL, so values within the tolerance share
+    a label (rounding to a 1e-9 grid would split a pair across a cell edge)."""
+    labels = np.empty(keys.shape, dtype=np.intp)
+    for col in range(keys.shape[1]):
+        order = np.argsort(keys[:, col], kind="stable")
+        labels[order, col] = np.concatenate(([0], np.cumsum(np.diff(keys[order, col]) > ATOM_MERGE_TOL)))
+    return labels
 
-    def add(w, b, mass):
-        for atom in atoms:
-            if np.linalg.norm(atom[0] - w) + abs(atom[1] - b) <= ATOM_MERGE_TOL:
-                atom[2] += mass
-                return
-        atoms.append([np.array(w), float(b), float(mass)])
 
-    for a, w, b in net.units:
-        add(w, b, a / 2.0)
-        add(-w, -b, a / 2.0)
-    return [(w, b, m) for w, b, m in atoms if abs(m) > 1e-15]
+@dataclass(frozen=True)
+class AtomicMeasure:
+    """Finite signed combination of Diracs on S^(d-1) x R.
+
+    Atoms whose (w, b) share a cluster in every coordinate (_merge_labels) merge
+    at the first of them given; their weights add in input order, and atoms
+    whose weight sums to zero are dropped.
+    """
+
+    atoms: tuple  # of (w: unit vector, b: float, weight: float)
+
+    def __post_init__(self):
+        atoms = tuple(self.atoms)
+        if atoms:
+            W = np.array([w for w, _, _ in atoms], dtype=float)
+            b = np.array([offset for _, offset, _ in atoms], dtype=float)
+            keys = _merge_labels(np.column_stack([W, b]))
+            _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            weights = np.bincount(inverse.ravel(), weights=[wt for _, _, wt in atoms])
+            W.setflags(write=False)
+            order = np.argsort(first)
+            atoms = tuple(
+                (W[first[g]], float(b[first[g]]), float(weights[g])) for g in order if weights[g] != 0
+            )
+        object.__setattr__(self, "atoms", atoms)
+
+    @property
+    def total_variation(self) -> float:
+        return sum(abs(wt) for _, _, wt in self.atoms)
+
+    def __len__(self) -> int:
+        return len(self.atoms)
+
+    def __iter__(self):
+        return iter(self.atoms)
+
+
+def even_part(atoms) -> AtomicMeasure:
+    """Even measure: mass weight/2 at both (w, b) and (-w, -b) for each
+    (w, b, weight) in `atoms`, an AtomicMeasure or any iterable of atoms."""
+    return AtomicMeasure(
+        tuple(half for w, b, wt in atoms for half in ((w, b, wt / 2.0), (-w, -b, wt / 2.0)))
+    )
 
 
 def rnorm_finite_net(net: FiniteReluNet) -> RNormReport:
     """Exact R-norm of a finite net: total variation of its even measure."""
-    atoms = _even_measure_atoms(net)
-    value = sum(abs(m) for _, _, m in atoms)
+    measure = even_part(zip(net.W, net.b, net.a))
     return RNormReport(
-        value=value,
+        value=measure.total_variation,
         method="finite-net",
         error_estimate=0.0,
-        diagnostics={"atoms": [[list(w), b, m] for w, b, m in atoms]},
+        diagnostics={"atoms": [[list(w), b, m] for w, b, m in measure.atoms]},
     )
 
 
-def _bump_derivative_funcs():
-    """Second and third derivatives of exp(-1/(1-r^2)), lambdified once."""
+@functools.lru_cache(maxsize=None)
+def _bump_derivatives():
+    """First, second and third derivatives of exp(-1/(1-r^2)), lambdified once."""
     import sympy as sp
 
     r = sp.symbols("r")
     g = sp.exp(-1 / (1 - r**2))
-    g2 = sp.lambdify(r, sp.diff(g, r, 2), "numpy")
-    g3 = sp.lambdify(r, sp.diff(g, r, 3), "numpy")
-    return g2, g3
+    return tuple(sp.lambdify(r, sp.diff(g, r, n), "numpy") for n in (1, 2, 3))
 
 
 def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
@@ -175,7 +215,7 @@ def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
             raise UnsupportedDimensionError("the smooth-bump radial path is implemented for d=3")
         from scipy.integrate import quad
 
-        g2, g3 = _bump_derivative_funcs()
+        _, g2, g3 = _bump_derivatives()
         integrand = lambda b: abs(3.0 * g2(b) + b * g3(b))
         val, err = quad(integrand, 0.0, 1.0 - 1e-12, limit=200)
         return RNormReport(2.0 * val, "radial-odd", error_estimate=2.0 * err, diagnostics={"profile": "exp-bump"})
@@ -234,11 +274,7 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
         return float(np.abs(frac_laplacian_2d(f, 2.0).values).max())
     d = f.d
     if f.kind == "exp-bump":
-        g2, g3 = _bump_derivative_funcs()
-        import sympy as sp
-
-        r = sp.symbols("r")
-        g1 = sp.lambdify(r, sp.diff(sp.exp(-1 / (1 - r**2)), r), "numpy")
+        g1, g2, _ = _bump_derivatives()
         rs = np.linspace(1e-6, 1.0 - 1e-9, 20001)
         vals = np.abs(g2(rs) + (d - 1) * g1(rs) / rs)
         origin = abs(d * g2(1e-8))

@@ -16,51 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import FiniteReluNet
+from .engine import AtomicMeasure, FiniteReluNet, even_part
+from .radon import UnsupportedDimensionError
 
-ATOM_MERGE_TOL = 1e-9
 DEFAULT_MAX_ITER = 50_000
 INTERPOLATION_SLACK = 1e-8
-
-
-@dataclass(frozen=True)
-class AtomicMeasure:
-    """Finite signed combination of Diracs on S^(d-1) x R."""
-
-    atoms: tuple  # of (w: unit vector, b: float, weight: float)
-
-    def __post_init__(self):
-        merged: list[list] = []
-        for w, b, wt in self.atoms:
-            w = np.asarray(w, dtype=float)
-            for atom in merged:
-                if np.linalg.norm(atom[0] - w) + abs(atom[1] - b) <= ATOM_MERGE_TOL:
-                    atom[2] += wt
-                    break
-            else:
-                merged.append([w, float(b), float(wt)])
-        cleaned = []
-        for w, b, wt in merged:
-            if wt != 0:
-                w.setflags(write=False)
-                cleaned.append((w, b, wt))
-        object.__setattr__(self, "atoms", tuple(cleaned))
-
-    @property
-    def total_variation(self) -> float:
-        return sum(abs(wt) for _, _, wt in self.atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-
-def even_part(m: AtomicMeasure) -> AtomicMeasure:
-    """Replace the weights at (w, b) and (-w, -b) by their average at both points."""
-    out = []
-    for w, b, wt in m.atoms:
-        out.append((w, b, wt / 2.0))
-        out.append((-w, -b, wt / 2.0))
-    return AtomicMeasure(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -102,7 +62,7 @@ class FitProblem:
     def atom_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-circle angle grid and uniform offsets for d=2."""
         if self.d != 2:
-            raise ValueError("atom dictionaries are implemented for d=2")
+            raise UnsupportedDimensionError(f"atom dictionaries are implemented for d=2, got d={self.d}")
         angles = np.arange(self.K) * 2.0 * math.pi / self.K
         offsets = np.linspace(-self.offset_range, self.offset_range, self.J)
         return angles, offsets
@@ -139,32 +99,13 @@ class FitResult:
 
 
 def build_dictionary(p: FitProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix: column (k, j) holds [w_k.x - b_j]_+ - [-b_j]_+ per sample.
+    """Even-measure feature matrix: variable (k, j) places mass t/2 at both
+    (w_k, b_j) and (-w_k, -b_j), so its column is 0.5 (|w_k.x - b_j| - |b_j|),
+    offset-major within each angle block.
 
-    Returns (Phi, L) where L stacks the unpenalized columns: sample
+    Returns (Psi, L) where L stacks the unpenalized columns: sample
     coordinates when the linear unit is enabled, plus the constant column
     unless the origin value is pinned.
-    """
-    angles, offsets = p.atom_grid()
-    W = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (K, 2)
-    proj = p.X @ W.T  # (N, K)
-    # (N, K, J) -> (N, K*J), offset-major within each angle block
-    Phi = np.maximum(proj[:, :, None] - offsets[None, None, :], 0.0) - np.maximum(
-        -offsets[None, None, :], 0.0
-    )
-    Phi = Phi.reshape(p.X.shape[0], -1)
-    cols = []
-    if p.use_linear_unit:
-        cols.append(p.X)
-    if p.origin_value is None:
-        cols.append(np.ones((p.X.shape[0], 1)))
-    L = np.concatenate(cols, axis=1) if cols else np.zeros((p.X.shape[0], 0))
-    return Phi, L
-
-
-def _symmetrized_dictionary(p: FitProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Even-measure feature matrix: variable (k, j) places mass t/2 at both
-    (w_k, b_j) and (-w_k, -b_j), so its column is 0.5 (|w_k.x - b_j| - |b_j|).
 
     The representing measure of a two-layer net is even; without this tying a
     one-sided atom at the far edge of the offset range would represent any
@@ -184,28 +125,15 @@ def _symmetrized_dictionary(p: FitProblem) -> tuple[np.ndarray, np.ndarray]:
     return Psi, L
 
 
-def _grid_atoms(p: FitProblem) -> list[tuple[np.ndarray, float]]:
-    angles, offsets = p.atom_grid()
-    out = []
-    for th in angles:
-        w = np.array([math.cos(th), math.sin(th)])
-        for b in offsets:
-            out.append((w, float(b)))
-    return out
-
-
 def _result_from_weights(
     p: FitProblem, a: np.ndarray, zcols: np.ndarray, Phi: np.ndarray, L: np.ndarray,
     gap: float, iters: int, converged: bool,
 ) -> FitResult:
-    atoms = _grid_atoms(p)
-    keep = np.abs(a) > 1e-10
-    halves = []
-    for i in np.nonzero(keep)[0]:
-        w, b = atoms[i]
-        halves.append((w, b, float(a[i]) / 2.0))
-        halves.append((-w, -b, float(a[i]) / 2.0))
-    measure = AtomicMeasure(tuple(halves))
+    angles, offsets = p.atom_grid()
+    W = np.array([[math.cos(th), math.sin(th)] for th in angles])
+    kept = np.nonzero(np.abs(a) > 1e-10)[0]
+    k, j = np.divmod(kept, p.J)
+    measure = even_part(zip(W[k], offsets[j], a[kept]))
     if p.use_linear_unit:
         v = zcols[: p.d]
         rest = zcols[p.d :]
@@ -241,7 +169,7 @@ def min_norm_fit(
     power iteration with a fixed seed.  Stops at duality gap <=
     1e-6 * ||y||_inf (or gap_tol) or at max_iter.
     """
-    Phi, L = _symmetrized_dictionary(p)
+    Phi, L = build_dictionary(p)
     y = p.y - (p.origin_value or 0.0) if p.origin_value is not None else p.y
     tau = max(p.tol, INTERPOLATION_SLACK)
     yscale = max(float(np.abs(y).max()), 1e-12)
@@ -313,7 +241,7 @@ def lp_oracle(p: FitProblem) -> float:
     """
     from scipy.optimize import linprog
 
-    Phi, L = _symmetrized_dictionary(p)
+    Phi, L = build_dictionary(p)
     y = p.y - (p.origin_value or 0.0) if p.origin_value is not None else p.y
     tau = max(p.tol, INTERPOLATION_SLACK)
     N, M = Phi.shape

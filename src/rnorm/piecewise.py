@@ -137,44 +137,32 @@ class PiecewisePolynomial:
     def zero() -> "PiecewisePolynomial":
         return PiecewisePolynomial((), (), compact=True)
 
-    @staticmethod
-    def constant(value, lo=None, hi=None) -> "PiecewisePolynomial":
-        """Constant on [lo, hi], or on all of R when no bounds are given."""
-        if lo is None:
-            return PiecewisePolynomial((-1, 1), ((value,),), compact=False)
-        return PiecewisePolynomial((lo, hi), ((value,),), compact=True)
-
     @property
     def is_zero(self) -> bool:
         return all(not p for p in self.pieces)
 
-    def _piece_index(self, b: float) -> int | None:
-        bps = [float(x) for x in self.breakpoints]
-        if not self.pieces:
-            return None
-        if b < bps[0]:
-            return 0 if not self.compact else None
-        if b >= bps[-1]:
-            return len(self.pieces) - 1 if not self.compact else None
-        lo = 0
-        for i in range(len(self.pieces)):
-            if bps[i] <= b < bps[i + 1]:
-                lo = i
-                break
-        return lo
+    def _piece_index(self, b) -> np.ndarray:
+        """Index of the piece holding each b (right-open intervals); -1 where the
+        function is zero outside a compact support."""
+        n = len(self.pieces)
+        i = np.searchsorted(np.array(self.breakpoints, dtype=float), b, side="right") - 1
+        if not self.compact:
+            return np.clip(i, 0, n - 1)
+        return np.where((i >= 0) & (i < n), i, -1)
 
     def __call__(self, b):
-        if np.ndim(b) > 0:
-            return np.array([self(float(x)) for x in np.asarray(b).ravel()]).reshape(np.shape(b))
-        i = self._piece_index(float(b))
-        if i is None:
-            return 0.0
-        return float(poly_eval(self.pieces[i], float(b)))
+        x = np.asarray(b, dtype=float)
+        index = self._piece_index(x)
+        out = np.zeros(x.shape)
+        for i, coeffs in enumerate(self.pieces):
+            at = index == i
+            out[at] = np.polyval([float(c) for c in reversed(coeffs)], x[at])
+        return float(out) if out.ndim == 0 else out
 
     def eval_exact(self, b):
         """Evaluate keeping exact arithmetic when b is rational."""
-        i = self._piece_index(float(b))
-        if i is None:
+        i = int(self._piece_index(float(b)))
+        if i < 0:
             return Fraction(0)
         return poly_eval(self.pieces[i], b)
 

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from rnorm import Sinogram, constants, sample_grid
-from rnorm.cli import EXIT_DIMENSION, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from rnorm.cli import EXIT_DIMENSION, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
 
 
 def _run(capsys, *argv):
@@ -169,6 +171,17 @@ def test_fit_malformed_samples_exit_4(tmp_path, capsys, text):
     assert _run_failing(capsys, "fit", "--samples", str(path)) == EXIT_IO
 
 
+def test_fit_three_dimensional_samples_exit_3(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("x1,x2,x3,y\n0.1,0.2,0.3,1.0\n-0.4,0.5,0.6,2.0\n")
+    code = main(["fit", "--samples", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_DIMENSION
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_diagnose_pyramid_geometry(tmp_path, capsys):
     doc = {
         "segments": [
@@ -227,3 +240,21 @@ def test_reports_are_deterministic(tmp_path, capsys):
         _run(capsys, "fit", "--samples", str(path), "--K", "8", "--J", "9", "--tol", "0.01", "--out", str(out))
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_removed_threads_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "1", "radial", "--d", "3", "--profile", "poly:k=2"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_every_option_is_read_by_its_command():
+    parser = build_parser()
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.dest for a in parser._actions if a not in subparsers] == ["help"]
+    for name, sub in subparsers[0].choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, (name, action.dest)

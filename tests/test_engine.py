@@ -67,6 +67,15 @@ class TestFiniteNet:
         X = np.array([[2.0, 3.0], [-2.0, 3.0]])
         assert np.allclose(net(X), [6.0, 4.0])
 
+    def test_units_are_kept_as_read_only_arrays(self):
+        units = ((2.0, _unit(0.3), 0.5), (-1.0, _unit(1.1), -0.2))
+        net = FiniteReluNet(2, units)
+        assert net.W.shape == (2, 2) and not net.W.flags.writeable
+        for (a, w, b), (a2, w2, b2) in zip(units, net.units):
+            assert (a, b) == (a2, b2) and np.array_equal(w, w2)
+        with pytest.raises(ValueError):
+            FiniteReluNet(3, units)
+
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             FiniteReluNet(2, ((1.0, np.array([1.0, 1.0]), 0.0),))

@@ -31,6 +31,13 @@ class TestAtomicMeasure:
         assert len(m) == 2
         assert m.total_variation == pytest.approx(4.5)
 
+    def test_close_atoms_merge_across_a_rounding_edge(self):
+        # 2.5e-9 sits on an edge of a 1e-9 rounding grid; the pair is 2e-12 apart
+        w = np.array([1.0, 0.0])
+        m = AtomicMeasure(((w, 2.5e-9 - 1e-12, 1.0), (w, 2.5e-9 + 1e-12, 2.0)))
+        assert len(m) == 1
+        assert m.atoms[0][1] == 2.5e-9 - 1e-12 and m.atoms[0][2] == 3.0
+
     def test_cancelled_atoms_dropped(self):
         w = np.array([0.0, 1.0])
         m = AtomicMeasure(((w, 0.0, 1.0), (w, 0.0, -1.0)))
@@ -66,6 +73,61 @@ def test_even_part_never_increases_total_variation(entries):
     assert even_part(m).total_variation <= m.total_variation + 1e-12
 
 
+def _pairwise_merge(atoms, tol=1e-9):
+    """Reference merge: each atom joins the first earlier atom within tol, else starts one."""
+    merged = []
+    for w, b, wt in atoms:
+        for atom in merged:
+            if np.linalg.norm(atom[0] - w) + abs(atom[1] - b) <= tol:
+                atom[2] += wt
+                break
+        else:
+            merged.append([np.asarray(w, dtype=float), float(b), float(wt)])
+    return [(w, b, wt) for w, b, wt in merged if wt != 0]
+
+
+MERGE_K = 16
+MERGE_OFFSETS = np.linspace(-1.3, 1.3, 9)  # not exactly symmetric in floating point
+
+
+def _merge_case(k, j, kind, wt):
+    th = 2.0 * math.pi * k / MERGE_K
+    w = np.array([math.cos(th), math.sin(th)])
+    b = MERGE_OFFSETS[j]
+    if kind == "antipode":
+        return [(w, b, wt), (-w, -b, wt)]
+    if kind == "grid antipode":  # cos(th + pi) against -cos(th), as on the fitting grid
+        return [(w, b, wt), (np.array([math.cos(th + math.pi), math.sin(th + math.pi)]), MERGE_OFFSETS[-1 - j], wt)]
+    if kind == "perturbed":
+        return [(w, b, wt), (w + 1e-12, b - 1e-12, -wt / 3.0)]
+    return [(w, b, wt), (w.copy(), b, wt)]  # exact repeat
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, MERGE_K - 1),
+            st.integers(0, MERGE_OFFSETS.size - 1),
+            st.sampled_from(["repeat", "antipode", "grid antipode", "perturbed"]),
+            st.floats(-3, 3),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_merge_matches_pairwise_reference(cases, rnd):
+    atoms = [atom for case in cases for atom in _merge_case(*case)]
+    rnd.shuffle(atoms)
+    expected = _pairwise_merge(atoms)
+    got = AtomicMeasure(tuple(atoms)).atoms
+    assert len(got) == len(expected)
+    for (w, b, wt), (w_ref, b_ref, wt_ref) in zip(got, expected):
+        assert np.array_equal(w, w_ref) and b == b_ref  # first-seen representative, in order
+        assert wt == wt_ref
+
+
 class TestFitProblem:
     def test_validation(self):
         X = np.zeros((3, 2))
@@ -94,13 +156,15 @@ class TestDictionary:
     def test_column_formula(self):
         X = np.array([[0.5, 0.0]])
         p = FitProblem(X, np.array([0.0]), K=4, J=3, offset_range=1.0)
-        Phi, L = build_dictionary(p)
+        Psi, L = build_dictionary(p)
         angles, offsets = p.atom_grid()
-        k, j = 1, 0  # w = (0, 1), b = -1
-        w = np.array([math.cos(angles[k]), math.sin(angles[k])])
-        b = offsets[j]
-        expected = max(float(X[0] @ w) - b, 0.0) - max(-b, 0.0)
-        assert Phi[0, k * p.J + j] == pytest.approx(expected, abs=1e-15)
+        for k, th in enumerate(angles):
+            w = np.array([math.cos(th), math.sin(th)])
+            for j, b in enumerate(offsets):
+                expected = 0.5 * (abs(float(X[0] @ w) - b) - abs(b))
+                assert Psi[0, k * p.J + j] == pytest.approx(expected, abs=1e-15)
+        # w = (1, 0), b = 1: the even column is -1/4 where a one-sided [w.x - b]_+ is 0
+        assert Psi[0, 0 * p.J + 2] == pytest.approx(-0.25, abs=1e-15)
         # linear unit plus constant column
         assert L.shape == (1, 3)
         assert np.allclose(L[0], [0.5, 0.0, 1.0])
@@ -108,8 +172,8 @@ class TestDictionary:
     def test_columns_vanish_at_origin(self):
         X = np.array([[0.0, 0.0], [0.3, -0.2]])
         p = FitProblem(X, np.zeros(2), K=8, J=9)
-        Phi, _ = build_dictionary(p)
-        assert np.abs(Phi[0]).max() == 0.0
+        Psi, _ = build_dictionary(p)
+        assert np.abs(Psi[0]).max() == 0.0
 
     def test_origin_value_removes_constant_column(self):
         X = np.array([[0.5, 0.0]])

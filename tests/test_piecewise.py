@@ -66,6 +66,33 @@ class TestPiecewisePolynomial:
         vals = p(np.array([0.25, 0.75, 3.0]))
         assert np.allclose(vals, [0.25, 0.75, 0.0])
 
+    def test_array_evaluation_matches_pointwise_horner(self):
+        def pointwise(p, x):
+            bps = [float(b) for b in p.breakpoints]
+            if bps[0] <= x < bps[-1]:
+                i = max(i for i in range(len(p.pieces)) if bps[i] <= x)
+            elif p.compact:
+                return 0.0
+            else:
+                i = 0 if x < bps[0] else len(p.pieces) - 1
+            return float(poly_eval(p.pieces[i], x))
+
+        pieces = ((1, 2), (Fraction(1, 7), 0, -3), (), (Fraction(-5, 3), 1, 0, 2))
+        bps = (-1, Fraction(1, 3), 1, 2, Fraction(7, 2))
+        for p in (
+            PiecewisePolynomial(bps, pieces),
+            PiecewisePolynomial(bps, pieces, compact=False),
+            _bump_pw(3),
+        ):
+            edges = [float(b) for b in p.breakpoints]
+            xs = np.concatenate([edges, np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 97)])
+            expected = [pointwise(p, x) for x in xs]
+            assert p(xs).tolist() == expected
+            assert p(xs[:, None]).tolist() == [[e] for e in expected]
+            for x in (xs[0], np.float64(edges[0] - 1.0), np.array(edges[-1] + 1.0)):
+                value = p(x)
+                assert type(value) is float and value == pointwise(p, float(x))
+
     def test_exact_evaluation_keeps_fractions(self):
         p = _bump_pw(3)
         val = p.eval_exact(Fraction(1, 2))

@@ -1,13 +1,15 @@
 """Command-line interface: radial/grid/fit/diagnose/demo pipelines with JSON reports.
 
 Exit codes: 0 success, 2 invalid flags, 3 unsupported dimension, 4 I/O
-failure, 5 solver non-convergence (the report is still written).
+failure, 5 solver non-convergence (the report is still written).  Commands
+raise; ``main`` turns each exception into one ``error:`` line and its code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib.metadata import PackageNotFoundError, version as pkg_version
@@ -38,6 +40,20 @@ EXIT_IO = 4
 EXIT_SOLVER = 5
 
 
+class InputError(ValueError):
+    """A file named on the command line does not parse as its flag's format."""
+
+
+# the first matching type gives the code: InputError and
+# UnsupportedDimensionError are ValueErrors
+EXIT_CODES = {
+    UnsupportedDimensionError: EXIT_DIMENSION,
+    InputError: EXIT_IO,
+    OSError: EXIT_IO,
+    ValueError: EXIT_USAGE,
+}
+
+
 def _version() -> str:
     try:
         return pkg_version("rnorm")
@@ -60,7 +76,6 @@ def _dump(report: dict) -> str:
 
 def _emit(report: dict, out_dir: str | None, extras: dict | None = None) -> None:
     text = _dump(report)
-    sys.stdout.write(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -68,41 +83,35 @@ def _emit(report: dict, out_dir: str | None, extras: dict | None = None) -> None
         for name, content in (extras or {}).items():
             with open(os.path.join(out_dir, name), "w") as fh:
                 fh.write(content)
+    sys.stdout.write(text)
 
 
-def _parse_profile(spec: str, d: int, epsilon: float) -> RadialFunction:
+def _read(path: str, parse):
+    """parse(text of the file at path); a parse failure becomes an InputError."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _parse_profile(spec: str, d: int) -> RadialFunction:
     if spec == "exp-bump":
         return RadialFunction(d, kind="exp-bump")
-    if spec.startswith("poly:k="):
-        try:
-            k = int(spec[len("poly:k="):])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad profile {spec!r}")
-        if k < 1:
-            raise argparse.ArgumentTypeError("profile exponent must be >= 1")
-        return RadialFunction(d, bump_poly(k))
-    raise argparse.ArgumentTypeError(
-        f"profile must be 'poly:k=N' or 'exp-bump', got {spec!r}"
-    )
+    k = spec[len("poly:k="):]
+    if spec.startswith("poly:k=") and k.isdecimal() and int(k) >= 1:
+        return RadialFunction(d, bump_poly(int(k)))
+    raise ValueError(f"profile must be 'poly:k=N' with N >= 1, or 'exp-bump', got {spec!r}")
 
 
 def cmd_radial(args) -> int:
     config = {
         "command": "radial", "d": args.d, "profile": args.profile, "epsilon": args.epsilon,
     }
-    try:
-        f = _parse_profile(args.profile, args.d, args.epsilon)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.epsilon <= 0:
-        print("error: --epsilon must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        rep = rnorm_radial_odd(f)
-    except UnsupportedDimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+    f = _parse_profile(args.profile, args.d)
+    if not 0 < args.epsilon < math.inf:
+        raise ValueError("--epsilon must be positive and finite")
+    rep = rnorm_radial_odd(f)
     # dilation by epsilon scales the value by 1/epsilon (no resampling needed)
     payload = rep.to_dict()
     if not rep.is_infinite and args.epsilon != 1.0:
@@ -115,25 +124,15 @@ def cmd_radial(args) -> int:
 
 def cmd_grid(args) -> int:
     config = {"command": "grid", "input": args.input, "K": args.K, "J": args.J}
-    try:
-        check_sinogram_size(args.K, args.J)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        with open(args.input) as fh:
-            f = GridFunction2D.from_csv(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    check_sinogram_size(args.K, args.J)
+    f = _read(args.input, GridFunction2D.from_csv)
     rep = rnorm_grid_2d(f, K=args.K, J=args.J)
     _emit(_report(config, rep.to_dict()), args.out, {"sinogram.csv": rep.sinogram.to_csv()})
     return EXIT_OK
 
 
-def _load_samples(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        data = read_csv(fh.read(), "x[^,]*(,x[^,]*)*,y", label="x1,...,xd,y")
+def _parse_samples(text: str) -> tuple[np.ndarray, np.ndarray]:
+    data = read_csv(text, "x[^,]*(,x[^,]*)*,y", label="x1,...,xd,y")
     return data[:, :-1], data[:, -1]
 
 
@@ -143,38 +142,36 @@ def cmd_fit(args) -> int:
         "tol": args.tol, "use_linear_unit": not args.no_linear_unit,
         "levels": args.levels,
     }
-    try:
-        X, y = _load_samples(args.samples)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    X, y = _read(args.samples, _parse_samples)
     p = FitProblem(X, y, K=args.K, J=args.J, tol=args.tol, use_linear_unit=not args.no_linear_unit)
-    fit = min_norm_fit(p)
     extras = {}
     if args.levels:
+        # before the fit, so that a bad --levels fails before the long solve
         rows = refinement_study(p, args.levels)
         lines = ["K,J,norm,gap"] + [
             f"{r['K']},{r['J']},{r['norm']:.17g},{r['gap']:.17g}" for r in rows
         ]
         extras["refinement.csv"] = "\n".join(lines) + "\n"
+    fit = min_norm_fit(p)
     _emit(_report(config, fit.to_dict()), args.out, extras)
     return EXIT_OK if fit.converged else EXIT_SOLVER
 
 
-def _load_geometry(path: str) -> tuple[PwlCurvatureMeasure2D, list]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    segs = tuple((np.array(p0, dtype=float), np.array(p1, dtype=float), float(c)) for p0, p1, c in doc["segments"])
-    return PwlCurvatureMeasure2D(segs), [np.array(w, dtype=float) for w in doc["normals"]]
+def _parse_geometry(text: str) -> tuple[PwlCurvatureMeasure2D, list]:
+    doc = json.loads(text)
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("segments", "normals"))):
+        raise ValueError("geometry must be a JSON object with 'segments' and 'normals' lists")
+    if not all(isinstance(s, list) and len(s) == 3 for s in doc["segments"]):
+        raise ValueError("each geometry segment must be [p0, p1, coeff]")
+    normals = [np.array(w, dtype=float) for w in doc["normals"]]
+    if not all(w.shape == (2,) and np.all(np.isfinite(w)) and np.any(w) for w in normals):
+        raise ValueError("geometry normals must be nonzero finite 2-vectors")
+    return PwlCurvatureMeasure2D(tuple(doc["segments"])), normals
 
 
 def cmd_diagnose(args) -> int:
     config = {"command": "diagnose", "geometry": args.geometry}
-    try:
-        mu, normals = _load_geometry(args.geometry)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    mu, normals = _read(args.geometry, _parse_geometry)
     cert = pwl_infinite_certificate(mu, normals)
     extras = {
         f"decay_{i}.csv": e.sample.to_csv() for i, e in enumerate(cert.entries)
@@ -195,11 +192,8 @@ def cmd_demo(args) -> int:
         extras = {f"decay_{i}.csv": e.sample.to_csv() for i, e in enumerate(cert.entries)}
     elif args.name == "gap":
         payload = rbar_gap_demo(seed=args.seed)
-    elif args.name == "sweep":
+    else:  # "sweep"; argparse choices admit no other name
         payload = {"rows": bump_finiteness_sweep([3, 5, 7], [1, 2, 3, 4, 5, 6])}
-    else:
-        print(f"error: unknown demo {args.name!r}", file=sys.stderr)
-        return EXIT_USAGE
     _emit(_report(config, payload), args.out, extras)
     return EXIT_OK
 
@@ -252,12 +246,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedDimensionError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

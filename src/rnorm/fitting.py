@@ -41,8 +41,10 @@ class FitProblem:
         y = np.asarray(self.y, dtype=float).ravel()
         if X.shape[0] != y.size or X.shape[0] < 1:
             raise ValueError("need one target per sample point")
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if self.K < 1 or self.J < 2:
+            raise ValueError(f"atom grid needs K >= 1 angles and J >= 2 offsets, got K={self.K}, J={self.J}")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tol}")
         B = self.offset_range
         radius = float(np.linalg.norm(X, axis=1).max())
         if B is None:

@@ -142,13 +142,15 @@ class PiecewisePolynomial:
         return all(not p for p in self.pieces)
 
     def _piece_index(self, b) -> np.ndarray:
-        """Index of the piece holding each b (right-open intervals); -1 where the
-        function is zero outside a compact support."""
+        """Index of the piece holding each b (right-open intervals, the last one
+        closed); -1 where the function is zero outside a compact support."""
         n = len(self.pieces)
-        i = np.searchsorted(np.array(self.breakpoints, dtype=float), b, side="right") - 1
+        bps = np.array(self.breakpoints, dtype=float)
+        i = np.searchsorted(bps, b, side="right") - 1
         if not self.compact:
             return np.clip(i, 0, n - 1)
-        return np.where((i >= 0) & (i < n), i, -1)
+        inside = (i >= 0) & (np.searchsorted(bps, b, side="left") <= n)
+        return np.where(inside, np.minimum(i, n - 1), -1)
 
     def __call__(self, b):
         x = np.asarray(b, dtype=float)

@@ -184,17 +184,12 @@ def radial_radon_profile(f: RadialFunction) -> PiecewisePolynomial:
         pos_pieces.append(poly_trim(poly))
     pos_bps.append(bps[-1])
 
-    # even extension to negative b
-    if pos_bps[0] == 0:
-        neg_bps = [-b for b in reversed(pos_bps[1:])]
-        neg_pieces = [
-            poly_trim(tuple(c * (-1) ** i for i, c in enumerate(p))) for p in reversed(pos_pieces)
-        ]
-        all_bps = neg_bps + pos_bps
-        all_pieces = neg_pieces + pos_pieces
-    else:
-        raise AssertionError("positive-b breakpoints must start at 0")
-    return PiecewisePolynomial(tuple(all_bps), tuple(all_pieces))
+    # even extension to negative b; pos_bps[0] == 0 since radial breakpoints are >= 0
+    neg_bps = [-b for b in reversed(pos_bps[1:])]
+    neg_pieces = [
+        poly_trim(tuple(c * (-1) ** i for i, c in enumerate(p))) for p in reversed(pos_pieces)
+    ]
+    return PiecewisePolynomial(tuple(neg_bps + pos_bps), tuple(neg_pieces + pos_pieces))
 
 
 def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, step: float) -> np.ndarray:

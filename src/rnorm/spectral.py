@@ -35,13 +35,16 @@ class PwlCurvatureMeasure2D:
         for p0, p1, c in self.segments:
             p0 = np.asarray(p0, dtype=float)
             p1 = np.asarray(p1, dtype=float)
+            c = float(c)
+            if not all(p.shape == (2,) and np.all(np.isfinite(p)) for p in (p0, p1)):
+                raise ValueError("segment endpoints must be finite 2-vectors")
             if np.allclose(p0, p1):
                 raise ValueError("degenerate boundary segment")
-            if c == 0:
-                raise ValueError("curvature coefficients must be nonzero")
+            if not math.isfinite(c) or c == 0:
+                raise ValueError("curvature coefficients must be finite and nonzero")
             p0.setflags(write=False)
             p1.setflags(write=False)
-            segs.append((p0, p1, float(c)))
+            segs.append((p0, p1, c))
         object.__setattr__(self, "segments", tuple(segs))
 
 

@@ -1,11 +1,20 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rnorm
 from rnorm import Sinogram, constants, sample_grid
 from rnorm.cli import EXIT_DIMENSION, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
 
@@ -213,6 +222,160 @@ def test_diagnose_bad_geometry_exits_4(tmp_path, capsys):
     path.write_text("{not json")
     code, _ = _run(capsys, "diagnose", "--geometry", str(path))
     assert code == EXIT_IO
+
+
+_SEGMENT = [[0.0, 0.0], [1.0, 0.0], 2.0]
+
+
+def _fit_argv(tmp_path, *flags):
+    path = tmp_path / "samples.csv"
+    _write_samples(path, [(0.1, 0.2), (-0.3, 0.4), (0.5, -0.5)], [1.0, 2.0, 0.0])
+    return ["fit", "--samples", str(path), *flags]
+
+
+def _diagnose_argv(tmp_path, doc):
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps(doc))
+    return ["diagnose", "--geometry", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_argv, expected",
+    [
+        (lambda t: _fit_argv(t, "--tol", "-1"), EXIT_USAGE),
+        (lambda t: _fit_argv(t, "--tol", "nan"), EXIT_USAGE),
+        (lambda t: _fit_argv(t, "--levels", "1"), EXIT_USAGE),
+        (lambda t: _fit_argv(t, "--levels", "-1"), EXIT_USAGE),
+        (lambda t: _fit_argv(t, "--K", "0"), EXIT_USAGE),
+        (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "nan"], EXIT_USAGE),
+        (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "inf"], EXIT_USAGE),
+        (lambda t: _diagnose_argv(t, [1, 2]), EXIT_IO),
+        (lambda t: _diagnose_argv(t, {"segments": 5, "normals": [[1.0, 0.0]]}), EXIT_IO),
+        (lambda t: _diagnose_argv(t, {"segments": [_SEGMENT], "normals": [[1.0, 0.0, 0.0]]}), EXIT_IO),
+        (lambda t: _diagnose_argv(t, {"segments": [_SEGMENT], "normals": [[0.0, 0.0]]}), EXIT_IO),
+        # --out names a path below a regular file
+        (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--out", os.path.join(__file__, "out")], EXIT_IO),
+    ],
+    ids=[
+        "fit-tol-negative", "fit-tol-nan", "fit-levels-1", "fit-levels-negative", "fit-K-0",
+        "radial-epsilon-nan", "radial-epsilon-inf", "diagnose-list", "diagnose-segments-int",
+        "diagnose-3d-normal", "diagnose-zero-normal", "out-below-a-file",
+    ],
+)
+def test_bad_input_gives_one_error_line_and_its_exit_code(tmp_path, capsys, make_argv, expected):
+    assert _run_failing(capsys, *make_argv(tmp_path)) == expected
+
+
+def _run_isolated(argv):
+    """main(argv) with its own stdout and stderr, for hypothesis tests (no capsys)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_rejected(command, flag, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = _run_isolated([command, flag, path])
+    assert code in (EXIT_USAGE, EXIT_DIMENSION, EXIT_IO), (code, err)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)
+_GRID_ROWS = [
+    [float(v) for v in line.split(",")]
+    for line in sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 16, 2.0).to_csv().splitlines()[1:]
+]
+
+
+@st.composite
+def _corrupted_lines(draw, rows):
+    """CSV lines of rows, one of them with a non-finite or non-numeric cell, or a
+    wrong column count."""
+    lines = [[f"{v:.17g}" for v in row] for row in rows]
+    line = lines[draw(st.integers(0, len(lines) - 1))]
+    kind = draw(st.sampled_from(["cell", "short", "long"]))
+    if kind == "cell":
+        bad = ["nan", "inf", "-inf", "1e999", "", "abc", "1,2", "0x1"]
+        line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(bad))
+    elif kind == "short":
+        line.pop()
+    else:
+        line.append("0")
+    return [",".join(cells) for cells in lines]
+
+
+@given(data=st.data(), text=_TEXT, corrupt=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_grid_rejects_malformed_csv(data, text, corrupt):
+    # a text body has fewer than the 256 rows of the smallest (16 x 16) grid
+    body = "\n".join(data.draw(_corrupted_lines(_GRID_ROWS))) if corrupt else text
+    _assert_rejected("grid", "--input", "x,y,value\n" + body + "\n")
+
+
+@given(data=st.data(), text=_TEXT, d=st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_fit_rejects_malformed_csv(data, text, d):
+    rows = data.draw(st.lists(st.lists(st.floats(-1, 1), min_size=d + 1, max_size=d + 1), min_size=1, max_size=5))
+    header = ",".join(f"x{i + 1}" for i in range(d)) + ",y"
+    body = "\n".join([text] + data.draw(_corrupted_lines(rows)))
+    _assert_rejected("fit", "--samples", header + "\n" + body + "\n")
+
+
+_NON_NUMBERS = st.sampled_from([None, "a", [1.0], {}, math.nan, math.inf, -math.inf])
+_NOT_A_POINT = st.one_of(
+    st.none(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.floats(-1, 1), max_size=4).filter(lambda v: len(v) != 2),
+    st.tuples(st.floats(-1, 1), _NON_NUMBERS).map(list),
+)
+_NOT_A_LIST = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@st.composite
+def _malformed_geometry(draw):
+    """A geometry JSON document with exactly one part of the wrong shape or value."""
+    doc = {"segments": [[[0.0, 0.0], [1.0, 0.0], 2.0], [[0.0, 0.0], [0.0, 1.0], -1.0]], "normals": [[1.0, 0.0]]}
+    seg = doc["segments"][draw(st.integers(0, 1))]
+    part = draw(st.sampled_from(["text", "document", "key", "list", "segment", "point", "coeff", "normal"]))
+    if part == "text":
+        return draw(_TEXT.filter(lambda t: "segments" not in t))
+    if part == "document":
+        return json.dumps(draw(_NOT_A_LIST.filter(lambda v: not isinstance(v, dict)) | st.lists(st.integers(), max_size=2)))
+    if part == "key":
+        del doc[draw(st.sampled_from(["segments", "normals"]))]
+    elif part == "list":
+        doc[draw(st.sampled_from(["segments", "normals"]))] = draw(_NOT_A_LIST)
+    elif part == "segment":
+        doc["segments"][0] = draw(_NOT_A_LIST | st.lists(st.just([0.0, 0.0]), max_size=4).filter(lambda v: len(v) != 3))
+    elif part == "point":
+        seg[draw(st.integers(0, 1))] = draw(_NOT_A_POINT)
+    elif part == "coeff":
+        seg[2] = draw(st.sampled_from([0, 0.0, "a", None, [1.0], {}, math.nan, math.inf, -math.inf]))
+    else:
+        doc["normals"].append(draw(st.one_of(_NOT_A_POINT, st.sampled_from([[0.0, 0.0], [-0.0, 0.0]]))))
+    return json.dumps(doc)
+
+
+@given(text=_malformed_geometry())
+@settings(max_examples=40, deadline=None)
+def test_diagnose_rejects_malformed_geometry(text):
+    _assert_rejected("diagnose", "--geometry", text)
+
+
+def test_process_exit_code_and_no_traceback(tmp_path):
+    argv = _fit_argv(tmp_path, "--tol", "nan")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(rnorm.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "rnorm.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_demo_parallelogram(capsys):

@@ -133,8 +133,9 @@ class TestFitProblem:
         X = np.zeros((3, 2))
         with pytest.raises(ValueError):
             FitProblem(X, np.zeros(2))
-        with pytest.raises(ValueError):
-            FitProblem(X, np.zeros(3), tol=-1.0)
+        for bad in ({"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"K": 0}, {"J": 1}):
+            with pytest.raises(ValueError):
+                FitProblem(X, np.zeros(3), **bad)
         with pytest.raises(ValueError):
             FitProblem(np.ones((3, 2)), np.zeros(3), offset_range=1.0)
 

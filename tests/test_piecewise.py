@@ -63,13 +63,15 @@ class TestPiecewisePolynomial:
         assert p(0.5) == 0.5
         assert p(2.0) == 0.0
         assert p(-1.0) == 0.0
+        assert p(1.0) == 1.0
+        assert PiecewisePolynomial((0, 1), ((1,),)).eval_exact(1) == 1
         vals = p(np.array([0.25, 0.75, 3.0]))
         assert np.allclose(vals, [0.25, 0.75, 0.0])
 
     def test_array_evaluation_matches_pointwise_horner(self):
         def pointwise(p, x):
             bps = [float(b) for b in p.breakpoints]
-            if bps[0] <= x < bps[-1]:
+            if bps[0] <= x < bps[-1] or (p.compact and x == bps[-1]):
                 i = max(i for i in range(len(p.pieces)) if bps[i] <= x)
             elif p.compact:
                 return 0.0

@@ -123,3 +123,12 @@ class TestRayProbes:
             PwlCurvatureMeasure2D((((0.0, 0.0), (0.0, 0.0), 1.0),))
         with pytest.raises(ValueError):
             PwlCurvatureMeasure2D((((0.0, 0.0), (1.0, 0.0), 0.0),))
+        for seg in [
+            ((0.0, 0.0, 0.0), (1.0, 0.0), 1.0),
+            ((0.0,), (1.0, 0.0), 1.0),
+            ((0.0, float("nan")), (1.0, 0.0), 1.0),
+            ((0.0, 0.0), (float("inf"), 0.0), 1.0),
+            ((0.0, 0.0), (1.0, 0.0), float("nan")),
+        ]:
+            with pytest.raises(ValueError):
+                PwlCurvatureMeasure2D((seg,))

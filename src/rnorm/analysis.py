@@ -9,11 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FiniteReluNet, grad_at_infinity, rbar_bounds, rnorm_finite_net
+from .engine import FiniteReluNet, grad_at_infinity, rbar_bounds, rnorm_finite_net, rnorm_radial_odd
 from .fitting import FitProblem, min_norm_fit
 from .radon import RadialFunction, bump_poly
 from .spectral import PwlCurvatureMeasure2D, RayDecaySample, pwl_fourier_ray
-from .engine import rnorm_radial_odd
 
 CONSTANT_RATIO_TOL = 0.10
 ZERO_MAGNITUDE = 1e-12

@@ -21,7 +21,6 @@ from .analysis import (
     parallelogram_check,
     pwl_infinite_certificate,
     pyramid_geometry,
-    pyramid_pwl,
     pyramid_threelayer,
     rbar_gap_demo,
 )

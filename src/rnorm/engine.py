@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -11,7 +10,10 @@ import numpy as np
 
 from .constants import constants
 from .grids import GridFunction2D
-from .piecewise import DistributionalProfile, profile_derivative, profile_l1, pw_derivative
+from .piecewise import (
+    DistributionalProfile, _poly_real_roots, poly_add, poly_derivative, poly_eval, poly_mul,
+    profile_derivative, profile_l1,
+)
 from .radon import (
     RadialFunction,
     Sinogram,
@@ -189,14 +191,19 @@ def rnorm_finite_net(net: FiniteReluNet) -> RNormReport:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _bump_derivatives():
-    """First, second and third derivatives of exp(-1/(1-r^2)), lambdified once."""
-    import sympy as sp
+def _exp_bump_factors(n: int) -> list:
+    """Integer polynomials Q_0..Q_n with g^(k) = g Q_k / (1-r^2)^(2k) for the
+    bump g = exp(-1/(1-r^2)): Q_0 = 1, Q_(k+1) = (1-r^2)^2 Q_k' + (4k r(1-r^2) - 2r) Q_k."""
+    Q = [(1,)]
+    for k in range(n):
+        dQ = poly_mul((1, 0, -2, 0, 1), poly_derivative(Q[k]))
+        Q.append(poly_add(dQ, poly_mul((0, 4 * k - 2, 0, -4 * k), Q[k])))
+    return Q
 
-    r = sp.symbols("r")
-    g = sp.exp(-1 / (1 - r**2))
-    return tuple(sp.lambdify(r, sp.diff(g, r, n), "numpy") for n in (1, 2, 3))
+
+def _exp_bump_term(poly, power: int):
+    """r -> g(r) poly(r) / (1-r^2)^power for the exp bump g, at |r| < 1."""
+    return lambda r: np.exp(-1.0 / (1.0 - r * r)) * poly_eval(poly, r) / (1.0 - r * r) ** power
 
 
 def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
@@ -213,12 +220,16 @@ def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
     if f.kind == "exp-bump":
         if d != 3:
             raise UnsupportedDimensionError("the smooth-bump radial path is implemented for d=3")
-        from scipy.integrate import quad
-
-        _, g2, g3 = _bump_derivatives()
-        integrand = lambda b: abs(3.0 * g2(b) + b * g3(b))
-        val, err = quad(integrand, 0.0, 1.0 - 1e-12, limit=200)
-        return RNormReport(2.0 * val, "radial-odd", error_estimate=2.0 * err, diagnostics={"profile": "exp-bump"})
+        _, _, q2, q3 = _exp_bump_factors(3)
+        # (b g)''' = 3 g'' + b g''' = g P / (1-b^2)^6: Gauss-Legendre between the roots of P
+        P = poly_add(poly_mul((3, 0, -6, 0, 3), q2), poly_mul((0, 1), q3))
+        cuts = np.array([0.0] + _poly_real_roots(P, 0.0, 1.0) + [1.0])
+        lo, half = cuts[:-1, None], np.diff(cuts)[:, None] / 2.0
+        value, coarse = (
+            2.0 * float(np.abs(_exp_bump_term(P, 6)(lo + half * (x + 1.0)) @ w * half[:, 0]).sum())
+            for x, w in map(np.polynomial.legendre.leggauss, (64, 32))
+        )
+        return RNormReport(value, "radial-odd", abs(value - coarse), diagnostics={"profile": "exp-bump"})
 
     rho = radial_radon_profile(f)
     profile = DistributionalProfile(rho)
@@ -274,19 +285,15 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
         return float(np.abs(frac_laplacian_2d(f, 2.0).values).max())
     d = f.d
     if f.kind == "exp-bump":
-        g1, g2, _ = _bump_derivatives()
+        _, q1, q2 = _exp_bump_factors(2)
+        g1, g2 = _exp_bump_term(q1, 2), _exp_bump_term(q2, 4)
         rs = np.linspace(1e-6, 1.0 - 1e-9, 20001)
-        vals = np.abs(g2(rs) + (d - 1) * g1(rs) / rs)
-        origin = abs(d * g2(1e-8))
-        return float(max(vals.max(), origin))
-    g = f.g
-    g1 = g.derivative_pieces()
-    g2 = g1.derivative_pieces()
-    R = f.support_radius
-    rs = np.linspace(R * 1e-9, R, 20001)[1:]
+    else:
+        g1 = f.g.derivative_pieces()
+        g2 = g1.derivative_pieces()
+        rs = np.linspace(f.support_radius * 1e-9, f.support_radius, 20001)[1:]
     vals = np.abs(g2(rs) + (d - 1) * g1(rs) / rs)
-    origin = abs(d * g2(0.0))
-    return float(max(float(vals.max()), origin))
+    return float(max(float(vals.max()), abs(d * g2(0.0))))
 
 
 def grad_at_infinity(net: FiniteReluNet) -> np.ndarray:

@@ -12,7 +12,7 @@ cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,16 @@ from .radon import UnsupportedDimensionError
 
 DEFAULT_MAX_ITER = 50_000
 INTERPOLATION_SLACK = 1e-8
+# entries of the N x (K J) dictionary Psi: 256 MiB per float64 copy
+MAX_DICTIONARY_ENTRIES = 2**25
+
+
+def check_dictionary_size(N: int, K: int, J: int) -> None:
+    """Raise ValueError when N samples on a K x J atom grid exceed MAX_DICTIONARY_ENTRIES."""
+    if N * K * J > MAX_DICTIONARY_ENTRIES:
+        raise ValueError(
+            f"dictionary of {N} samples x {K}x{J} atoms exceeds {MAX_DICTIONARY_ENTRIES} entries"
+        )
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,7 @@ class FitProblem:
             raise ValueError("need one target per sample point")
         if self.K < 1 or self.J < 2:
             raise ValueError(f"atom grid needs K >= 1 angles and J >= 2 offsets, got K={self.K}, J={self.J}")
+        check_dictionary_size(X.shape[0], self.K, self.J)
         if not 0 <= self.tol < math.inf:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tol}")
         B = self.offset_range
@@ -283,6 +294,11 @@ def refinement_study(
         raise ValueError("need at least 2 refinement levels")
     if method not in ("primal-dual", "lp"):
         raise ValueError(f"unknown refinement method {method!r}")
+    # level by level, so that a huge --levels fails at the first level over the
+    # budget (each level has at least 4x the entries of the one before it)
+    for level in range(levels):
+        N = p.X.shape[0] * (2**level if target is not None else 1)
+        check_dictionary_size(N, p.K * 2**level, (p.J - 1) * 2**level + 1)
     if radius is None:
         radius = float(np.linalg.norm(p.X, axis=1).max())
     if target is not None:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .constants import constants
 from .grids import GridFunction2D, read_table_csv, write_table_csv
@@ -190,6 +189,12 @@ def radial_radon_profile(f: RadialFunction) -> PiecewisePolynomial:
         poly_trim(tuple(c * (-1) ** i for i, c in enumerate(p))) for p in reversed(pos_pieces)
     ]
     return PiecewisePolynomial(tuple(neg_bps + pos_bps), tuple(neg_pieces + pos_pieces))
+
+
+def map_coordinates(*args, **kwargs):
+    """scipy.ndimage.map_coordinates, imported on first use: importing rnorm loads no scipy."""
+    from scipy.ndimage import map_coordinates
+    return map_coordinates(*args, **kwargs)
 
 
 def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, step: float) -> np.ndarray:

@@ -1,0 +1,53 @@
+"""The package's third-party imports: what it declares, and what each route loads."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_ROUTES_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import rnorm, rnorm.cli
+from rnorm import (
+    FiniteReluNet, RadialFunction, bump_poly, laplacian_lower_bound, rnorm_finite_net,
+    rnorm_radial_odd, sample_grid,
+)
+
+bump = RadialFunction(3, kind="exp-bump")
+rnorm_radial_odd(bump)
+laplacian_lower_bound(bump)
+rnorm_radial_odd(RadialFunction(5, bump_poly(3)))
+rnorm_finite_net(FiniteReluNet(2, ((1.0, np.array([1.0, 0.0]), 0.5),)))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
+assert not loaded, loaded
+
+rnorm.radon.grid_radon_2d(sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 16, 1.0), 32, 64)
+assert "scipy.ndimage" in sys.modules
+"""
+
+
+def test_import_and_exact_routes_load_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROUTES_WITHOUT_SCIPY], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    imported = set()
+    for path in (ROOT / "src" / "rnorm").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)))
+    assert third_party == declared == {"numpy", "scipy"}

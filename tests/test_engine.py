@@ -18,6 +18,7 @@ from rnorm import (
     sample_grid,
     sobolev_upper_bound_2d,
 )
+from rnorm.engine import _exp_bump_factors, _exp_bump_term
 from rnorm.radon import UnsupportedDimensionError
 
 E1 = np.array([1.0, 0.0])
@@ -104,9 +105,21 @@ class TestRadial:
 
     def test_smooth_bump_d3_is_finite(self):
         rep = rnorm_radial_odd(RadialFunction(3, kind="exp-bump"))
-        assert not rep.is_infinite
-        assert rep.value > 0
-        assert rep.error_estimate is not None and rep.error_estimate < 1e-6 * rep.value
+        # 2 int_0^1 |(b g)'''| db by mpmath at 30 digits, with the integral split
+        # at the two sign changes of (b g)''' in (0, 1)
+        assert rep.value == pytest.approx(35.14363099909819309, rel=1e-12, abs=0.0)
+        assert rep.error_estimate is not None and rep.error_estimate <= 1e-9 * rep.value
+
+    def test_exp_bump_derivatives_match_central_differences(self):
+        Q = _exp_bump_factors(4)
+        assert Q[1] == (0, -2)
+        r, h = np.array([0.1, 0.3, 0.5, 0.7, 0.85]), 1e-5
+        previous = RadialFunction(3, kind="exp-bump").profile_values
+        for k in range(1, 5):
+            exact = _exp_bump_term(Q[k], 2 * k)(r)
+            central = (previous(r + h) - previous(r - h)) / (2.0 * h)
+            assert np.max(np.abs(central - exact)) <= 1e-6 * np.max(np.abs(exact))
+            previous = _exp_bump_term(Q[k], 2 * k)
 
     def test_infinite_case_reports_diagnostics(self):
         rep = rnorm_radial_odd(RadialFunction(5, bump_poly(1)))
@@ -159,6 +172,10 @@ class TestLaplacianBound:
     def test_radial_closed_form_at_origin(self):
         # g = (1-r^2)^k: |Delta f|(0) = d * |g''(0)| = 2 d k.
         assert laplacian_lower_bound(RadialFunction(3, bump_poly(4))) == pytest.approx(24.0, rel=1e-12)
+
+    def test_exp_bump(self):
+        for d, expected in ((3, 7.124493853053047), (5, 6.564245746800119)):
+            assert laplacian_lower_bound(RadialFunction(d, kind="exp-bump")) == pytest.approx(expected, abs=1e-12)
 
     def test_grid_gaussian(self, gaussian_256):
         # max |Delta e^{-r^2/2}| = 2 at the origin.

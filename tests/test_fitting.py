@@ -133,7 +133,7 @@ class TestFitProblem:
         X = np.zeros((3, 2))
         with pytest.raises(ValueError):
             FitProblem(X, np.zeros(2))
-        for bad in ({"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"K": 0}, {"J": 1}):
+        for bad in ({"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"K": 0}, {"J": 1}, {"K": 10**5, "J": 10**5}):
             with pytest.raises(ValueError):
                 FitProblem(X, np.zeros(3), **bad)
         with pytest.raises(ValueError):
@@ -235,6 +235,9 @@ class TestRefinement:
             refinement_study(p, 1)
         with pytest.raises(ValueError):
             refinement_study(p, 2, method="newton")
+        for target in (None, lambda Z: Z[:, 0]):
+            with pytest.raises(ValueError, match="exceeds"):
+                refinement_study(p, 40, target=target)
 
     def test_levels_double_grid_and_samples(self):
         X = _disc_samples(12, 1.0, 1)

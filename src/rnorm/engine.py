@@ -251,7 +251,7 @@ def rnorm_grid_2d(f: GridFunction2D, K: int = 256, J: int = 513) -> RNormReport:
 
     The error estimate is the change at half the sinogram resolution; the
     report carries the full-resolution sinogram. Each resolution computes its
-    own (-Delta)^(3/2) f (0.09 s at 512^2): the per-layer benchmark's own test
+    own (-Delta)^(3/2) f (0.03 s at 512^2): the per-layer benchmark's own test
     still counts two fractional-Laplacian calls per grid op.
     """
     gamma_2 = constants(2).gamma_d

@@ -51,6 +51,8 @@ class FitProblem:
         y = np.asarray(self.y, dtype=float).ravel()
         if X.shape[0] != y.size or X.shape[0] < 1:
             raise ValueError("need one target per sample point")
+        if X.shape[1] != 2:
+            raise UnsupportedDimensionError(f"atom dictionaries are implemented for d=2, got d={X.shape[1]}")
         if self.K < 1 or self.J < 2:
             raise ValueError(f"atom grid needs K >= 1 angles and J >= 2 offsets, got K={self.K}, J={self.J}")
         check_dictionary_size(X.shape[0], self.K, self.J)
@@ -74,8 +76,6 @@ class FitProblem:
 
     def atom_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-circle angle grid and uniform offsets for d=2."""
-        if self.d != 2:
-            raise UnsupportedDimensionError(f"atom dictionaries are implemented for d=2, got d={self.d}")
         angles = np.arange(self.K) * 2.0 * math.pi / self.K
         offsets = np.linspace(-self.offset_range, self.offset_range, self.J)
         return angles, offsets

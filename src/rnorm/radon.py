@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -197,20 +198,17 @@ def map_coordinates(*args, **kwargs):
     return map_coordinates(*args, **kwargs)
 
 
-def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, step: float) -> np.ndarray:
-    """Line integrals of f along w(theta).x = b for each offset b."""
-    n = f.n
-    w = np.array([math.cos(theta), math.sin(theta)])
-    u = np.array([-math.sin(theta), math.cos(theta)])
-    half = f.half_diagonal * 1.01
-    nt = int(math.ceil(half / step))
-    t = np.arange(-nt, nt + 1) * step
-    x = offsets[:, None] * w[0] + t[None, :] * u[0]
-    y = offsets[:, None] * w[1] + t[None, :] * u[1]
-    ci = x / f.h + (n - 1) / 2.0
-    cj = y / f.h + (n - 1) / 2.0
-    samples = map_coordinates(f.values, [ci.ravel(), cj.ravel()], order=1, cval=0.0, mode="constant")
-    return samples.reshape(offsets.size, t.size).sum(axis=1) * step
+def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, t: np.ndarray, step: float,
+                         buf: np.ndarray) -> np.ndarray:
+    """Line integrals of f along w(theta).x = b for each offset b; buf (3 x offsets x t) holds the samples."""
+    w = (math.cos(theta), math.sin(theta))
+    u = (-math.sin(theta), math.cos(theta))
+    for a in range(2):
+        np.add.outer(offsets * w[a], t * u[a], out=buf[a])
+    buf[:2] /= f.h
+    buf[:2] += (f.n - 1) / 2.0
+    map_coordinates(f.values, buf[:2].reshape(2, -1), output=buf[2].reshape(-1), order=1, mode="constant")
+    return buf[2].sum(axis=1) * step
 
 
 def check_sinogram_size(K: int, J: int) -> None:
@@ -222,7 +220,9 @@ def check_sinogram_size(K: int, J: int) -> None:
 
 
 def grid_radon_2d(f: GridFunction2D, K: int, J: int, offset_range: float | None = None) -> Sinogram:
-    """Sampled Radon transform of a 2-D grid function (bilinear, step h/2)."""
+    """Sampled Radon transform of a 2-D grid function (bilinear, step h/2), one thread per usable CPU."""
+    from concurrent.futures import ThreadPoolExecutor
+
     check_sinogram_size(K, J)
     B = OFFSET_MARGIN * f.half_diagonal if offset_range is None else float(offset_range)
     if offset_range is not None and B < f.half_diagonal:
@@ -233,10 +233,16 @@ def grid_radon_2d(f: GridFunction2D, K: int, J: int, offset_range: float | None 
     angles = np.arange(K) * math.pi / K
     offsets = np.linspace(-B, B, J)
     step = f.h / 2.0
-    values = np.empty((K, J))
-    for k, th in enumerate(angles):
-        values[k] = _line_integral_batch(f, th, offsets, step)
-    return Sinogram(angles, offsets, values)
+    nt = int(math.ceil(f.half_diagonal * 1.01 / step))
+    t = np.arange(-nt, nt + 1) * step
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blocks = np.array_split(angles, min(K, cpus))
+    # allocated in this thread: freed by a worker, a buffer would stay resident in that thread's malloc arena
+    buffers = [np.empty((3, J, t.size)) for _ in blocks]
+    with ThreadPoolExecutor(len(blocks)) as pool:
+        rows = pool.map(lambda ths, buf: [_line_integral_batch(f, th, offsets, t, step, buf) for th in ths],
+                        blocks, buffers)
+        return Sinogram(angles, offsets, np.array([row for block in rows for row in block]))
 
 
 def dual_radon_2d(s: Sinogram, n: int, h: float) -> GridFunction2D:

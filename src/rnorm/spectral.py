@@ -82,9 +82,9 @@ class RayDecaySample:
 def frac_laplacian_2d(f: GridFunction2D, s: float) -> GridFunction2D:
     """Fractional Laplacian (-Delta)^(s/2) via the ||xi||^s Fourier multiplier.
 
-    Zero-pads to 2n to suppress circular wrap-around; the DC multiplier is
-    zero.  Inputs that fail to decay at the grid boundary get a
-    boundary-leakage warning on the output.
+    Zero-pads to 2n to suppress circular wrap-around and works on the
+    real-input half spectrum; the DC multiplier is zero.  Inputs that fail
+    to decay at the grid boundary get a boundary-leakage warning on the output.
     """
     if s <= 0:
         raise ValueError(f"fractional power must be positive, got {s}")
@@ -92,13 +92,12 @@ def frac_laplacian_2d(f: GridFunction2D, s: float) -> GridFunction2D:
     warn = ()
     if f.boundary_leakage() > LEAKAGE_THRESHOLD:
         warn = ("boundary-leakage",)
-    padded = np.zeros((2 * n, 2 * n))
-    padded[:n, :n] = f.values
-    xi = 2.0 * math.pi * np.fft.fftfreq(2 * n, d=f.h)
-    XI, ETA = np.meshgrid(xi, xi, indexing="ij")
-    mult = (XI**2 + ETA**2) ** (s / 2.0)
+    pad = (2 * n, 2 * n)
+    xi = 2.0 * math.pi * np.fft.fftfreq(pad[0], d=f.h)
+    eta = 2.0 * math.pi * np.fft.rfftfreq(pad[1], d=f.h)
+    mult = (xi[:, None] ** 2 + eta[None, :] ** 2) ** (s / 2.0)
     mult[0, 0] = 0.0
-    out = np.fft.ifft2(np.fft.fft2(padded) * mult).real[:n, :n]
+    out = np.fft.irfft2(np.fft.rfft2(f.values, s=pad) * mult, s=pad)[:n, :n]
     return GridFunction2D(out, f.h, f.warnings + warn)
 
 
@@ -112,11 +111,9 @@ def offset_power_derivative(sin: Sinogram, order: int) -> Sinogram:
         raise ValueError(f"order must be >= 1, got {order}")
     J = sin.J
     pad = 2 * J
-    xi = 2.0 * math.pi * np.fft.fftfreq(pad, d=sin.db)
-    mult = np.abs(xi) ** order
+    mult = (2.0 * math.pi * np.fft.rfftfreq(pad, d=sin.db)) ** order
     mult[0] = 0.0
-    spec = np.fft.fft(sin.values, n=pad, axis=1)
-    out = np.fft.ifft(spec * mult[None, :], axis=1).real[:, :J]
+    out = np.fft.irfft(np.fft.rfft(sin.values, n=pad, axis=1) * mult, n=pad, axis=1)[:, :J]
     return Sinogram(sin.angles, sin.offsets, out)
 
 

@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _ROUTES_WITHOUT_SCIPY = """
 import sys
+import threading
 import numpy as np
 import rnorm, rnorm.cli
 from rnorm import (
@@ -25,9 +26,12 @@ rnorm_radial_odd(RadialFunction(5, bump_poly(3)))
 rnorm_finite_net(FiniteReluNet(2, ((1.0, np.array([1.0, 0.0]), 0.5),)))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
 assert not loaded, loaded
+assert "concurrent.futures" not in sys.modules
 
 rnorm.radon.grid_radon_2d(sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 16, 1.0), 32, 64)
 assert "scipy.ndimage" in sys.modules
+# the sinogram's thread pool is shut down on return: no idle workers stay behind
+assert threading.active_count() == 1, threading.enumerate()
 """
 
 

@@ -9,6 +9,7 @@ from rnorm import (
     AtomicMeasure,
     FiniteReluNet,
     FitProblem,
+    UnsupportedDimensionError,
     build_dictionary,
     even_part,
     lp_oracle,
@@ -147,10 +148,10 @@ class TestFitProblem:
         assert angles.size == p.K and offsets.size == p.J
         assert offsets[0] == -offsets[-1] == -p.offset_range
 
-    def test_atom_grid_requires_2d(self):
-        p = FitProblem(np.ones((3, 3)), np.zeros(3))
-        with pytest.raises(ValueError):
-            p.atom_grid()
+    def test_rejects_samples_not_in_2d(self):
+        for X in (np.zeros((4, 3)), np.ones((3, 1))):
+            with pytest.raises(UnsupportedDimensionError):
+                FitProblem(X, np.zeros(X.shape[0]))
 
 
 class TestDictionary:

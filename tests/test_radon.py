@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +18,8 @@ from rnorm import (
     radial_radon_profile,
     sample_grid,
 )
-from rnorm.radon import OffsetRangeError, UnsupportedDimensionError
+import rnorm.radon
+from rnorm.radon import OFFSET_MARGIN, OffsetRangeError, UnsupportedDimensionError, _line_integral_batch
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +127,60 @@ class TestGridRadon:
     def test_offset_range_must_cover_support(self, gauss):
         with pytest.raises(OffsetRangeError):
             grid_radon_2d(gauss, 32, 65, offset_range=1.0)
+
+
+class TestThreadedGridRadon:
+    """The angles run on a thread pool; the rows must be those of a serial loop, bit for bit."""
+
+    K, J = 32, 65
+
+    @pytest.fixture(scope="class")
+    def shifted(self):
+        return sample_grid(lambda X, Y: np.exp(-((X - 0.3) ** 2 + (Y + 0.7) ** 2) / 2.0), 128, 6.0)
+
+    @pytest.fixture(scope="class")
+    def serial(self, shifted):
+        B = OFFSET_MARGIN * shifted.half_diagonal
+        offsets = np.linspace(-B, B, self.J)
+        angles = np.arange(self.K) * math.pi / self.K
+        step = shifted.h / 2.0
+        nt = int(math.ceil(shifted.half_diagonal * 1.01 / step))
+        t = np.arange(-nt, nt + 1) * step
+        buf = np.empty((3, self.J, t.size))
+        return np.array([_line_integral_batch(shifted, th, offsets, t, step, buf) for th in angles])
+
+    def _run_recording_threads(self, monkeypatch, f):
+        threads = set()
+        original = rnorm.radon.map_coordinates
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rnorm.radon, "map_coordinates", recording)
+        return grid_radon_2d(f, self.K, self.J), threads
+
+    def test_default_worker_count_matches_serial_loop(self, monkeypatch, shifted, serial):
+        sino, threads = self._run_recording_threads(monkeypatch, shifted)
+        assert np.array_equal(sino.values, serial)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert 1 <= len(threads) <= cpus
+        assert threading.get_ident() not in threads
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_forced_worker_count_matches_serial_loop(self, monkeypatch, shifted, serial, cpus):
+        # 8 workers outnumber the cores; a short switch interval interleaves them more often
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sino, threads = self._run_recording_threads(monkeypatch, shifted)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(sino.values, serial)
+        assert 1 <= len(threads) <= cpus
 
 
 class TestDualAndInverse:

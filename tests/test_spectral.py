@@ -20,6 +20,26 @@ def gauss():
     return sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), 256, 8.0)
 
 
+def _frac_laplacian_complex_fft(f, s):
+    """Oracle: the same multiplier applied through a full complex FFT of the zero-padded grid."""
+    n = f.n
+    padded = np.zeros((2 * n, 2 * n))
+    padded[:n, :n] = f.values
+    xi = 2.0 * math.pi * np.fft.fftfreq(2 * n, d=f.h)
+    XI, ETA = np.meshgrid(xi, xi, indexing="ij")
+    mult = (XI**2 + ETA**2) ** (s / 2.0)
+    mult[0, 0] = 0.0
+    return np.fft.ifft2(np.fft.fft2(padded) * mult).real[:n, :n]
+
+
+def _offset_power_complex_fft(sin, order):
+    """Oracle: the offset multiplier |xi|^order through a full complex FFT of each row."""
+    pad = 2 * sin.J
+    mult = np.abs(2.0 * math.pi * np.fft.fftfreq(pad, d=sin.db)) ** order
+    mult[0] = 0.0
+    return np.fft.ifft(np.fft.fft(sin.values, n=pad, axis=1) * mult, axis=1).real[:, : sin.J]
+
+
 class TestFracLaplacian:
     def test_order_two_matches_negative_laplacian(self, gauss):
         # -Delta e^{-r^2/2} = (2 - r^2) e^{-r^2/2}
@@ -41,6 +61,13 @@ class TestFracLaplacian:
     def test_power_must_be_positive(self, gauss):
         with pytest.raises(ValueError):
             frac_laplacian_2d(gauss, 0.0)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+    def test_real_fft_matches_complex_fft(self, s):
+        f = sample_grid(lambda X, Y: np.exp(-((X - 0.4) ** 2 + (Y + 0.9) ** 2) / 2.0), 128, 6.0)
+        out = frac_laplacian_2d(f, s).values
+        expected = _frac_laplacian_complex_fft(f, s)
+        assert np.abs(out - expected).max() <= 1e-11 * np.abs(out).max()
 
     def test_half_powers_compose(self, gauss):
         once = frac_laplacian_2d(frac_laplacian_2d(gauss, 1.0), 1.0)
@@ -69,6 +96,13 @@ class TestOffsetPowerDerivative:
         direct = offset_power_derivative(s, 4)
         scale = np.abs(direct.values).max()
         assert np.abs(chained.values - direct.values).max() <= 1e-4 * scale
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_real_fft_matches_complex_fft(self, gauss, order):
+        sino = grid_radon_2d(gauss, 32, 65)
+        out = offset_power_derivative(sino, order).values
+        expected = _offset_power_complex_fft(sino, order)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(out).max()
 
     def test_order_must_be_positive(self, gauss):
         s = grid_radon_2d(gauss, 32, 65)

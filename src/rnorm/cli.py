@@ -8,11 +8,13 @@ raise; ``main`` turns each exception into one ``error:`` line and its code.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
 from importlib.metadata import PackageNotFoundError, version as pkg_version
+from typing import TextIO
 
 import numpy as np
 
@@ -85,11 +87,18 @@ def _emit(report: dict, out_dir: str | None, extras: dict | None = None) -> None
     sys.stdout.write(text)
 
 
+class _TextFile(io.TextIOWrapper):
+    """A file read as text whose len() is its size in bytes, as the len() of its text was (ASCII)."""
+
+    def __len__(self) -> int:
+        return os.fstat(self.fileno()).st_size
+
+
 def _read(path: str, parse):
-    """parse(text of the file at path); a parse failure becomes an InputError."""
+    """parse(the file at path, as a text stream); a parse failure becomes an InputError."""
     try:
-        with open(path) as fh:
-            return parse(fh.read())
+        with _TextFile(open(path, "rb")) as fh:
+            return parse(fh)
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -130,8 +139,8 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _parse_samples(text: str) -> tuple[np.ndarray, np.ndarray]:
-    data = read_csv(text, "x[^,]*(,x[^,]*)*,y", label="x1,...,xd,y")
+def _parse_samples(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
+    data = read_csv(source, "x[^,]*(,x[^,]*)*,y", label="x1,...,xd,y")
     return data[:, :-1], data[:, -1]
 
 
@@ -156,8 +165,8 @@ def cmd_fit(args) -> int:
     return EXIT_OK if fit.converged else EXIT_SOLVER
 
 
-def _parse_geometry(text: str) -> tuple[PwlCurvatureMeasure2D, list]:
-    doc = json.loads(text)
+def _parse_geometry(source: TextIO) -> tuple[PwlCurvatureMeasure2D, list]:
+    doc = json.load(source)
     if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("segments", "normals"))):
         raise ValueError("geometry must be a JSON object with 'segments' and 'normals' lists")
     if not all(isinstance(s, list) and len(s) == 3 for s in doc["segments"]):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import io
+import itertools
 import re
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -16,7 +18,8 @@ AXIS_TOL = 1e-9
 class GridFunction2D:
     """n x n samples of f on a square grid centered at the origin.
 
-    values[i, j] = f(x_i, y_j) with x_i = (i - (n-1)/2) * h.
+    values[i, j] = f(x_i, y_j) with x_i = (i - (n-1)/2) * h, held as a
+    read-only C-contiguous array (a strided view is copied).
     """
 
     values: np.ndarray
@@ -24,7 +27,7 @@ class GridFunction2D:
     warnings: tuple = ()
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.ascontiguousarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("grid values must be a square matrix")
         if v.shape[0] < 16:
@@ -80,8 +83,8 @@ class GridFunction2D:
         return write_table_csv("x,y,value", self.axis(), self.axis(), self.values)
 
     @staticmethod
-    def from_csv(text: str) -> "GridFunction2D":
-        xs, ys, values = read_table_csv(text, "x,y,value")
+    def from_csv(source: str | TextIO) -> "GridFunction2D":
+        xs, ys, values = read_table_csv(source, "x,y,value")
         n = xs.size
         h = float(xs[1] - xs[0]) if n > 1 else 1.0
         tol = AXIS_TOL * h
@@ -92,22 +95,24 @@ class GridFunction2D:
         return GridFunction2D(values, h)
 
 
-def read_csv(text: str, header: str, label: str | None = None) -> np.ndarray:
-    """Rows of a numeric CSV whose lower-cased first line matches the regex ``header``.
+def read_csv(source: str | TextIO, header: str, label: str | None = None) -> np.ndarray:
+    """Rows of a numeric CSV (text or text stream) whose lower-cased first line matches the regex ``header``.
 
-    A bad header (shown as ``label``, default ``header``), a row whose column
-    count differs from the header's, an empty body or a non-finite value
-    raises a one-line ValueError.
+    A stream is parsed line by line, never read whole; lines of only
+    whitespace are skipped.  A bad header (shown as ``label``, default
+    ``header``), a row whose column count differs from the header's, an empty
+    body or a non-finite value raises a one-line ValueError.
     """
-    first, _, body = text.strip().partition("\n")
-    first = first.strip().lower()
+    lines = itertools.filterfalse(str.isspace, io.StringIO(source) if isinstance(source, str) else source)
+    first = next(lines, "").strip().lower()
     if not re.fullmatch(header, first):
         raise ValueError(f"CSV must start with header '{label or header}'")
-    if not body.strip():
+    row = next(lines, None)
+    if row is None:
         raise ValueError("CSV has no data rows")
     ncols = first.count(",") + 1
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+        data = np.loadtxt(itertools.chain([row], lines), delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise ValueError(f"CSV body is not {ncols} numeric columns: {exc}") from None
     if data.shape[1] != ncols:
@@ -117,12 +122,12 @@ def read_csv(text: str, header: str, label: str | None = None) -> np.ndarray:
     return data
 
 
-def read_table_csv(text: str, header: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def read_table_csv(source: str | TextIO, header: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A 3-column CSV (a, b, value) as sorted unique a, sorted unique b and the value matrix.
 
     Rows may come in any order; every (a, b) cell must appear exactly once.
     """
-    data = read_csv(text, header)
+    data = read_csv(source, header)
     a, b = np.unique(data[:, 0]), np.unique(data[:, 1])
     if a.size * b.size != data.shape[0]:
         raise ValueError("CSV is not a full grid: the row count is not the product of the axis sizes")

@@ -6,6 +6,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 import numpy as np
 
@@ -77,8 +78,8 @@ class Sinogram:
         return write_table_csv("theta,b,value", self.angles, self.offsets, self.values)
 
     @staticmethod
-    def from_csv(text: str) -> "Sinogram":
-        return Sinogram(*read_table_csv(text, "theta,b,value"))
+    def from_csv(source: str | TextIO) -> "Sinogram":
+        return Sinogram(*read_table_csv(source, "theta,b,value"))
 
 
 @dataclass(frozen=True)
@@ -192,10 +193,41 @@ def radial_radon_profile(f: RadialFunction) -> PiecewisePolynomial:
     return PiecewisePolynomial(tuple(neg_bps + pos_bps), tuple(neg_pieces + pos_pieces))
 
 
-def map_coordinates(*args, **kwargs):
-    """scipy.ndimage.map_coordinates, imported on first use: importing rnorm loads no scipy."""
-    from scipy.ndimage import map_coordinates
-    return map_coordinates(*args, **kwargs)
+# samples per map_coordinates call, in whole offset rows: a thread's buffers and the
+# sampler's temporaries stay near a few MB whatever K, J and the grid size are
+BLOCK_SAMPLES = 2**16
+
+
+def map_coordinates(values: np.ndarray, coords: np.ndarray, output: np.ndarray) -> np.ndarray:
+    """Bilinear samples of values at the fractional indices coords (2 x m), written into output (m,).
+
+    The semantics of scipy.ndimage.map_coordinates(order=1, mode="constant"):
+    a point outside the index box [0, n0-1] x [0, n1-1] samples 0, and only
+    the points inside it are interpolated.
+    """
+    x, y = coords
+    n0, n1 = values.shape
+    inside = np.flatnonzero((x >= 0) & (x <= n0 - 1) & (y >= 0) & (y <= n1 - 1))
+    fx, fy = x.take(inside), y.take(inside)
+    # the lower corner; a point on the last row or column uses the cell below it with weight 1
+    i = np.minimum(fx.astype(np.intp), n0 - 2)
+    j = np.minimum(fy.astype(np.intp), n1 - 2)
+    fx -= i
+    fy -= j
+    gx, gy = 1.0 - fx, 1.0 - fy
+    i *= n1
+    i += j
+    v = values.ravel()
+    low = v.take(i) * gx
+    low += v[n1:].take(i) * fx
+    low *= gy
+    high = v[1:].take(i) * gx
+    high += v[n1 + 1:].take(i) * fx
+    high *= fy
+    low += high
+    output.fill(0.0)
+    output.put(inside, low)
+    return output
 
 
 def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, t: np.ndarray, step: float,
@@ -207,7 +239,7 @@ def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, t
         np.add.outer(offsets * w[a], t * u[a], out=buf[a])
     buf[:2] /= f.h
     buf[:2] += (f.n - 1) / 2.0
-    map_coordinates(f.values, buf[:2].reshape(2, -1), output=buf[2].reshape(-1), order=1, mode="constant")
+    map_coordinates(f.values, buf[:2].reshape(2, -1), output=buf[2].reshape(-1))
     return buf[2].sum(axis=1) * step
 
 
@@ -220,7 +252,10 @@ def check_sinogram_size(K: int, J: int) -> None:
 
 
 def grid_radon_2d(f: GridFunction2D, K: int, J: int, offset_range: float | None = None) -> Sinogram:
-    """Sampled Radon transform of a 2-D grid function (bilinear, step h/2), one thread per usable CPU."""
+    """Sampled Radon transform of a 2-D grid function (bilinear, step h/2), one thread per usable CPU.
+
+    Each thread sweeps a contiguous block of angles, BLOCK_SAMPLES line samples at a time.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
     check_sinogram_size(K, J)
@@ -236,13 +271,22 @@ def grid_radon_2d(f: GridFunction2D, K: int, J: int, offset_range: float | None 
     nt = int(math.ceil(f.half_diagonal * 1.01 / step))
     t = np.arange(-nt, nt + 1) * step
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    blocks = np.array_split(angles, min(K, cpus))
+    workers = min(K, cpus)
+    rows = min(J, max(1, BLOCK_SAMPLES // t.size))
+    values = np.empty((K, J))
     # allocated in this thread: freed by a worker, a buffer would stay resident in that thread's malloc arena
-    buffers = [np.empty((3, J, t.size)) for _ in blocks]
-    with ThreadPoolExecutor(len(blocks)) as pool:
-        rows = pool.map(lambda ths, buf: [_line_integral_batch(f, th, offsets, t, step, buf) for th in ths],
-                        blocks, buffers)
-        return Sinogram(angles, offsets, np.array([row for block in rows for row in block]))
+    buffers = [np.empty((3, rows, t.size)) for _ in range(workers)]
+
+    def sweep(ths, out, buf):
+        for th, row in zip(ths, out):
+            for r0 in range(0, J, rows):
+                r1 = min(r0 + rows, J)
+                row[r0:r1] = _line_integral_batch(f, th, offsets[r0:r1], t, step, buf[:, :r1 - r0])
+
+    with ThreadPoolExecutor(workers) as pool:
+        # list() reads every result, so a worker's exception is raised here
+        list(pool.map(sweep, np.array_split(angles, workers), np.array_split(values, workers), buffers))
+    return Sinogram(angles, offsets, values)
 
 
 def dual_radon_2d(s: Sinogram, n: int, h: float) -> GridFunction2D:

@@ -83,8 +83,10 @@ def frac_laplacian_2d(f: GridFunction2D, s: float) -> GridFunction2D:
     """Fractional Laplacian (-Delta)^(s/2) via the ||xi||^s Fourier multiplier.
 
     Zero-pads to 2n to suppress circular wrap-around and works on the
-    real-input half spectrum; the DC multiplier is zero.  Inputs that fail
-    to decay at the grid boundary get a boundary-leakage warning on the output.
+    real-input half spectrum; the DC multiplier is zero.  Transforms skip the
+    padding rows: the forward one has only n nonzero rows, and only n rows of
+    the inverse are kept.  Inputs that fail to decay at the grid boundary get
+    a boundary-leakage warning on the output.
     """
     if s <= 0:
         raise ValueError(f"fractional power must be positive, got {s}")
@@ -92,12 +94,14 @@ def frac_laplacian_2d(f: GridFunction2D, s: float) -> GridFunction2D:
     warn = ()
     if f.boundary_leakage() > LEAKAGE_THRESHOLD:
         warn = ("boundary-leakage",)
-    pad = (2 * n, 2 * n)
-    xi = 2.0 * math.pi * np.fft.fftfreq(pad[0], d=f.h)
-    eta = 2.0 * math.pi * np.fft.rfftfreq(pad[1], d=f.h)
+    xi = 2.0 * math.pi * np.fft.fftfreq(2 * n, d=f.h)
+    eta = 2.0 * math.pi * np.fft.rfftfreq(2 * n, d=f.h)
     mult = (xi[:, None] ** 2 + eta[None, :] ** 2) ** (s / 2.0)
     mult[0, 0] = 0.0
-    out = np.fft.irfft2(np.fft.rfft2(f.values, s=pad) * mult, s=pad)[:n, :n]
+    spectrum = np.fft.fft(np.fft.rfft(f.values, n=2 * n, axis=1), n=2 * n, axis=0) * mult
+    rows = np.fft.ifft(spectrum, axis=0)[:n]
+    # GridFunction2D copies this view into its own n x n array, so the n x 2n inverse is freed
+    out = np.fft.irfft(rows, n=2 * n, axis=1)[:, :n]
     return GridFunction2D(out, f.h, f.warnings + warn)
 
 

@@ -158,6 +158,30 @@ def test_fit_unreachable_tolerance_exits_5(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+def test_grid_csv_is_parsed_from_the_stream(tmp_path):
+    import tracemalloc
+
+    from rnorm.cli import _read
+    from rnorm.grids import GridFunction2D
+
+    f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), 256, 8.0)
+    path = tmp_path / "grid.csv"
+    path.write_text(f.to_csv())
+    size = path.stat().st_size
+    # the stream's len() is the file size, as the len() of its text was
+    assert _read(str(path), len) == size
+    _read(str(path), GridFunction2D.from_csv)  # numpy's lazy imports happen before the trace
+    tracemalloc.start()
+    try:
+        g = _read(str(path), GridFunction2D.from_csv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.values, f.values)
+    # the text is never held whole: the parse peaks below twice the file size
+    assert peak <= 2 * size, (peak, size)
+
+
 def test_fit_bad_header_exits_4(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

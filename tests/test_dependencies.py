@@ -10,7 +10,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 _ROUTES_WITHOUT_SCIPY = """
+import contextlib
+import io
+import os
 import sys
+import tempfile
 import threading
 import numpy as np
 import rnorm, rnorm.cli
@@ -28,14 +32,24 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
 assert not loaded, loaded
 assert "concurrent.futures" not in sys.modules
 
-rnorm.radon.grid_radon_2d(sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 16, 1.0), 32, 64)
-assert "scipy.ndimage" in sys.modules
+grid = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 16, 1.0)
+rnorm.radon.grid_radon_2d(grid, 32, 64)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "grid.csv")
+    with open(path, "w") as fh:
+        fh.write(grid.to_csv())
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = rnorm.cli.main(["grid", "--input", path, "--K", "32", "--J", "64", "--out", os.path.join(tmp, "out")])
+    assert code == 0, code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 # the sinogram's thread pool is shut down on return: no idle workers stay behind
 assert threading.active_count() == 1, threading.enumerate()
 """
 
 
 def test_import_and_exact_routes_load_no_scipy():
+    # the exact routes load neither scipy nor sympy; a grid sinogram and `rnorm grid` load no scipy
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", _ROUTES_WITHOUT_SCIPY], capture_output=True, text=True, env=env, timeout=120

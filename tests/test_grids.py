@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -42,6 +43,15 @@ def test_csv_rows_in_any_order():
     shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
     g = GridFunction2D.from_csv("\n".join([header] + shuffled))
     assert np.array_equal(g.values, f.values)
+
+
+def test_csv_stream_skips_lines_of_only_whitespace():
+    f = sample_grid(lambda X, Y: np.sin(X) * np.cos(2 * Y), 16, 2.0)
+    header, *rows = f.to_csv().splitlines()
+    text = "\n".join([" \t", header] + rows[:100] + ["  ", ""] + rows[100:] + ["\t \f"])
+    g = GridFunction2D.from_csv(io.StringIO(text))
+    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(read_csv(io.StringIO(text), "x,y,value"), read_csv(f.to_csv(), "x,y,value"))
 
 
 def test_csv_writer_matches_per_element_format():

@@ -129,6 +129,90 @@ class TestGridRadon:
             grid_radon_2d(gauss, 32, 65, offset_range=1.0)
 
 
+def _serial_loop(f, K, J):
+    """The oracle for grid_radon_2d: one _line_integral_batch call per angle over all J offsets.
+
+    Returns the K x J rows and the samples per line, 2nt + 1.
+    """
+    B = OFFSET_MARGIN * f.half_diagonal
+    offsets = np.linspace(-B, B, J)
+    step = f.h / 2.0
+    nt = int(math.ceil(f.half_diagonal * 1.01 / step))
+    t = np.arange(-nt, nt + 1) * step
+    buf = np.empty((3, J, t.size))
+    rows = [_line_integral_batch(f, th, offsets, t, step, buf) for th in np.arange(K) * math.pi / K]
+    return np.array(rows), t.size
+
+
+class TestBilinearSampler:
+    """rnorm.radon.map_coordinates against scipy.ndimage.map_coordinates(order=1, mode="constant")."""
+
+    def test_matches_scipy(self):
+        from scipy.ndimage import map_coordinates as scipy_map_coordinates
+
+        rng = np.random.default_rng(7)
+        n0, n1 = 37, 29
+        values = rng.standard_normal((n0, n1))
+        values[5:9, 3:6] = 0.0
+        x = rng.uniform(-2.0, n0 + 1.0, 5000)
+        y = rng.uniform(-2.0, n1 + 1.0, 5000)
+        eps = 1e-12
+        edges_x = [0.0, n0 - 1.0, -eps, n0 - 1 + eps, eps, n0 - 1 - eps, 0.0, n0 - 1.0, 3.5, 6.0]
+        edges_y = [0.0, n1 - 1.0, 3.5, 4.0, -eps, n1 - 1 + eps, n1 - 1.0, 0.0, n1 - 1 - eps, eps]
+        # every grid node, and points inside the zeroed patch
+        ix, iy = np.meshgrid(np.arange(n0, dtype=float), np.arange(n1, dtype=float), indexing="ij")
+        coords = np.array([
+            np.concatenate([x, edges_x, ix.ravel(), rng.uniform(5, 8, 50)]),
+            np.concatenate([y, edges_y, iy.ravel(), rng.uniform(3, 5, 50)]),
+        ])
+        expected = scipy_map_coordinates(values, coords, order=1, mode="constant")
+        out = np.full(coords.shape[1], np.nan)
+        rnorm.radon.map_coordinates(values, coords, output=out)
+        assert np.abs(out - expected).max() <= 2e-15 * np.abs(values).max()
+        assert np.array_equal(out == 0.0, expected == 0.0)
+        # the exact edges are inside the box, the points 1e-12 beyond them outside it
+        m = x.size
+        assert np.all(out[m:m + 2] != 0.0) and np.all(out[m + 2:m + 4] == 0.0)
+        assert np.all(out[m + 4:m + 6] == 0.0)
+
+
+class TestBlockedGridRadon:
+    """Each map_coordinates call takes at most BLOCK_SAMPLES samples (whole offset rows)."""
+
+    K = 32
+
+    def _recorded(self, monkeypatch, f, J):
+        sizes = []
+        original = rnorm.radon.map_coordinates
+
+        def recording(values, coords, **kwargs):
+            sizes.append(coords[0].size)
+            return original(values, coords, **kwargs)
+
+        monkeypatch.setattr(rnorm.radon, "map_coordinates", recording)
+        return grid_radon_2d(f, self.K, J).values, sizes
+
+    def test_default_block_bounds_every_call(self, monkeypatch, gauss):
+        J = 129
+        serial, T = _serial_loop(gauss, self.K, J)
+        assert J * T > rnorm.radon.BLOCK_SAMPLES  # one angle takes more than one block
+        values, sizes = self._recorded(monkeypatch, gauss, J)
+        assert max(sizes) <= rnorm.radon.BLOCK_SAMPLES
+        assert sum(sizes) == self.K * J * T
+        assert np.array_equal(values, serial)
+
+    @pytest.mark.parametrize("rows", [7, 1])
+    def test_forced_block_matches_serial_loop(self, monkeypatch, gauss, rows):
+        # 7 rows per block leave a 3-row block at J = 129; 1 row is the smallest block
+        J = 129
+        serial, T = _serial_loop(gauss, self.K, J)
+        monkeypatch.setattr(rnorm.radon, "BLOCK_SAMPLES", rows * T + T // 2 if rows > 1 else 1)
+        values, sizes = self._recorded(monkeypatch, gauss, J)
+        assert max(sizes) == rows * T
+        assert sum(sizes) == self.K * J * T
+        assert np.array_equal(values, serial)
+
+
 class TestThreadedGridRadon:
     """The angles run on a thread pool; the rows must be those of a serial loop, bit for bit."""
 
@@ -140,14 +224,7 @@ class TestThreadedGridRadon:
 
     @pytest.fixture(scope="class")
     def serial(self, shifted):
-        B = OFFSET_MARGIN * shifted.half_diagonal
-        offsets = np.linspace(-B, B, self.J)
-        angles = np.arange(self.K) * math.pi / self.K
-        step = shifted.h / 2.0
-        nt = int(math.ceil(shifted.half_diagonal * 1.01 / step))
-        t = np.arange(-nt, nt + 1) * step
-        buf = np.empty((3, self.J, t.size))
-        return np.array([_line_integral_batch(shifted, th, offsets, t, step, buf) for th in angles])
+        return _serial_loop(shifted, self.K, self.J)[0]
 
     def _run_recording_threads(self, monkeypatch, f):
         threads = set()

@@ -69,6 +69,20 @@ class TestFracLaplacian:
         expected = _frac_laplacian_complex_fft(f, s)
         assert np.abs(out - expected).max() <= 1e-11 * np.abs(out).max()
 
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+    def test_pruned_transforms_match_the_padded_real_fft(self, s):
+        f = sample_grid(lambda X, Y: np.exp(-((X - 0.4) ** 2 + (Y + 0.9) ** 2) / 2.0), 128, 6.0)
+        n = f.n
+        xi = 2.0 * math.pi * np.fft.fftfreq(2 * n, d=f.h)
+        eta = 2.0 * math.pi * np.fft.rfftfreq(2 * n, d=f.h)
+        mult = (xi[:, None] ** 2 + eta[None, :] ** 2) ** (s / 2.0)
+        mult[0, 0] = 0.0
+        expected = np.fft.irfft2(np.fft.rfft2(f.values, s=(2 * n, 2 * n)) * mult, s=(2 * n, 2 * n))[:n, :n]
+        out = frac_laplacian_2d(f, s).values
+        assert np.array_equal(out, expected)
+        # its own n x n array, not a view that keeps the padded inverse alive
+        assert out.flags.c_contiguous and out.base is None
+
     def test_half_powers_compose(self, gauss):
         once = frac_laplacian_2d(frac_laplacian_2d(gauss, 1.0), 1.0)
         direct = frac_laplacian_2d(gauss, 2.0)

@@ -18,7 +18,6 @@ from .piecewise import (
     pw_derivative,
 )
 from .radon import (
-    OffsetRangeError,
     RadialFunction,
     Sinogram,
     UnsupportedDimensionError,
@@ -79,7 +78,6 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "GridFunction2D",
-    "OffsetRangeError",
     "PiecewisePolynomial",
     "PwlCurvatureMeasure2D",
     "RNormReport",

@@ -100,18 +100,21 @@ class RbarBounds:
 
     rnorm: float
     grad_inf: np.ndarray
-    lower: float = 0.0
-    upper: float = 0.0
 
     def __post_init__(self):
         g = np.asarray(self.grad_inf, dtype=float)
         if not np.all(np.isfinite(g)):
             raise ValueError("gradient at infinity must be finite")
         g.setflags(write=False)
-        gn = float(np.linalg.norm(g))
         object.__setattr__(self, "grad_inf", g)
-        object.__setattr__(self, "lower", max(self.rnorm, 2.0 * gn))
-        object.__setattr__(self, "upper", self.rnorm + 2.0 * gn)
+
+    @property
+    def lower(self) -> float:
+        return max(self.rnorm, 2.0 * float(np.linalg.norm(self.grad_inf)))
+
+    @property
+    def upper(self) -> float:
+        return self.rnorm + 2.0 * float(np.linalg.norm(self.grad_inf))
 
     @property
     def is_tight(self) -> bool:
@@ -306,18 +309,15 @@ def grad_at_infinity(net: FiniteReluNet) -> np.ndarray:
     return total
 
 
-def grad_at_infinity_estimate(
-    func, d: int = 2, radii=(10.0, 20.0, 40.0), n_points: int = 720
-) -> tuple[np.ndarray, bool]:
-    """Sampled-sphere estimator of the gradient at infinity for callable inputs (d=2).
+def grad_at_infinity_estimate(func) -> tuple[np.ndarray, bool]:
+    """Sampled-circle estimator of the gradient at infinity for a callable on R^2.
 
-    Averages a central-difference gradient over n_points circle points at
-    each radius and Richardson-extrapolates linearly in 1/r.  Returns
+    Averages a central-difference gradient over 720 circle points at radii
+    10, 20 and 40 and Richardson-extrapolates linearly in 1/r.  Returns
     (estimate, converged); converged is False when the per-radius averages
     vary by more than 5%.
     """
-    if d != 2:
-        raise UnsupportedDimensionError("the sampled-sphere estimator is implemented for d=2")
+    radii, n_points = (10.0, 20.0, 40.0), 720
     thetas = np.arange(n_points) * 2.0 * math.pi / n_points
     per_radius = []
     for r in radii:

@@ -44,7 +44,6 @@ class FitProblem:
     tol: float = 1e-3
     use_linear_unit: bool = True
     offset_range: float | None = None
-    origin_value: float | None = None  # pin the fit at x=0 to this value
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -90,13 +89,13 @@ class FitResult:
     duality_gap: float
     iterations: int
     objective: float
-    converged: bool = True
+    converged: bool
 
-    def as_net(self, d: int = 2) -> FiniteReluNet:
-        """Equivalent finite net; the -[-b]_+ dictionary offsets fold into the bias."""
+    def as_net(self) -> FiniteReluNet:
+        """Equivalent finite net (d=2); the -[-b]_+ dictionary offsets fold into the bias."""
         units = tuple((wt, w, b) for w, b, wt in self.measure.atoms)
         shift = sum(wt * max(-b, 0.0) for _, b, wt in self.measure.atoms)
-        return FiniteReluNet(d=d, units=units, v=self.v, c=self.c - shift)
+        return FiniteReluNet(d=2, units=units, v=self.v, c=self.c - shift)
 
     def to_dict(self) -> dict:
         return {
@@ -117,8 +116,7 @@ def build_dictionary(p: FitProblem) -> tuple[np.ndarray, np.ndarray]:
     offset-major within each angle block.
 
     Returns (Psi, L) where L stacks the unpenalized columns: sample
-    coordinates when the linear unit is enabled, plus the constant column
-    unless the origin value is pinned.
+    coordinates when the linear unit is enabled, then the constant column.
 
     The representing measure of a two-layer net is even; without this tying a
     one-sided atom at the far edge of the offset range would represent any
@@ -129,12 +127,8 @@ def build_dictionary(p: FitProblem) -> tuple[np.ndarray, np.ndarray]:
     proj = p.X @ W.T
     Psi = 0.5 * (np.abs(proj[:, :, None] - offsets[None, None, :]) - np.abs(offsets)[None, None, :])
     Psi = Psi.reshape(p.X.shape[0], -1)
-    cols = []
-    if p.use_linear_unit:
-        cols.append(p.X)
-    if p.origin_value is None:
-        cols.append(np.ones((p.X.shape[0], 1)))
-    L = np.concatenate(cols, axis=1) if cols else np.zeros((p.X.shape[0], 0))
+    ones = np.ones((p.X.shape[0], 1))
+    L = np.concatenate([p.X, ones], axis=1) if p.use_linear_unit else ones
     return Psi, L
 
 
@@ -147,22 +141,12 @@ def _result_from_weights(
     kept = np.nonzero(np.abs(a) > 1e-10)[0]
     k, j = np.divmod(kept, p.J)
     measure = even_part(zip(W[k], offsets[j], a[kept]))
-    if p.use_linear_unit:
-        v = zcols[: p.d]
-        rest = zcols[p.d :]
-    else:
-        v = np.zeros(p.d)
-        rest = zcols
-    c = float(rest[0]) if rest.size else float(p.origin_value)
-    yhat = Phi @ a + (L @ zcols if L.shape[1] else 0.0)
-    if p.origin_value is not None:
-        yhat = yhat + p.origin_value
-    residual = float(np.abs(yhat - p.y).max())
+    v = zcols[: p.d] if p.use_linear_unit else np.zeros(p.d)
     return FitResult(
         measure=measure,
         v=np.asarray(v, dtype=float),
-        c=c,
-        residual_max=residual,
+        c=float(zcols[-1]),
+        residual_max=float(np.abs(Phi @ a + L @ zcols - p.y).max()),
         duality_gap=gap,
         iterations=iters,
         objective=float(np.abs(a).sum()),
@@ -183,7 +167,7 @@ def min_norm_fit(
     1e-6 * ||y||_inf (or gap_tol) or at max_iter.
     """
     Phi, L = build_dictionary(p)
-    y = p.y - (p.origin_value or 0.0) if p.origin_value is not None else p.y
+    y = p.y
     tau = max(p.tol, INTERPOLATION_SLACK)
     yscale = max(float(np.abs(y).max()), 1e-12)
     if gap_tol is None:
@@ -193,7 +177,7 @@ def min_norm_fit(
     colnorm = np.linalg.norm(Phi, axis=0)
     colnorm[colnorm == 0] = 1.0
     Phis = Phi / colnorm
-    Kmat = np.concatenate([Phis, L], axis=1) if L.shape[1] else Phis
+    Kmat = np.concatenate([Phis, L], axis=1)
     M = Phis.shape[1]
 
     rng = np.random.default_rng(0)
@@ -204,7 +188,7 @@ def min_norm_fit(
     opnorm = math.sqrt(float(vec @ (Kmat.T @ (Kmat @ vec))))
     step = 0.99 / max(opnorm, 1e-12)
 
-    Lpinv = np.linalg.pinv(L) if L.shape[1] else None
+    Lpinv = np.linalg.pinv(L)
 
     a = np.zeros(M)
     z = np.zeros(L.shape[1])
@@ -213,9 +197,7 @@ def min_norm_fit(
     weights = 1.0 / colnorm  # l1 weights of the equilibrated variables
 
     def dual_value(lam_raw: np.ndarray) -> float:
-        lam_f = lam_raw.copy()
-        if Lpinv is not None:
-            lam_f = lam_f - L @ (Lpinv @ lam_f)
+        lam_f = lam_raw - L @ (Lpinv @ lam_raw)
         scale = float(np.abs(Phi.T @ lam_f).max())
         if scale > 1.0:
             lam_f = lam_f / scale
@@ -224,24 +206,23 @@ def min_norm_fit(
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        u = lam + step * (Phis @ a_bar + (L @ z_bar if z.size else 0.0)) - step * y
+        u = lam + step * (Phis @ a_bar + L @ z_bar) - step * y
         lam = np.sign(u) * np.maximum(np.abs(u) - step * tau, 0.0)
         a_old, z_old = a, z
         grad_a = Phis.T @ lam
         a = np.sign(a - step * grad_a) * np.maximum(np.abs(a - step * grad_a) - step * weights, 0.0)
-        if z.size:
-            z = z - step * (L.T @ lam)
+        z = z - step * (L.T @ lam)
         a_bar = 2.0 * a - a_old
         z_bar = 2.0 * z - z_old
         if it % check_every == 0:
-            resid = float(np.abs(Phis @ a + (L @ z if z.size else 0.0) - y).max())
+            resid = float(np.abs(Phis @ a + L @ z - y).max())
             primal = float((weights * np.abs(a)).sum())
             gap = primal - dual_value(lam)
             if resid <= tau * (1.0 + 1e-3) + 1e-9 and gap <= gap_tol:
                 break
 
     a_true = a / colnorm
-    resid = float(np.abs(Phi @ a_true + (L @ z if z.size else 0.0) - y).max())
+    resid = float(np.abs(Phi @ a_true + L @ z - y).max())
     converged = gap <= gap_tol and resid <= tau * (1.0 + 1e-3) + 1e-9
     return _result_from_weights(p, a_true, z, Phi, L, gap, it, converged)
 
@@ -255,7 +236,6 @@ def lp_oracle(p: FitProblem) -> float:
     from scipy.optimize import linprog
 
     Phi, L = build_dictionary(p)
-    y = p.y - (p.origin_value or 0.0) if p.origin_value is not None else p.y
     tau = max(p.tol, INTERPOLATION_SLACK)
     N, M = Phi.shape
     nz = L.shape[1]
@@ -263,7 +243,7 @@ def lp_oracle(p: FitProblem) -> float:
     block = np.concatenate([Phi, -Phi, L], axis=1)
     A_ub = np.concatenate([block, -block], axis=0)
     del block
-    b_ub = np.concatenate([y + tau, tau - y])
+    b_ub = np.concatenate([p.y + tau, tau - p.y])
     bounds = [(0, None)] * (2 * M) + [(None, None)] * nz
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
@@ -318,7 +298,7 @@ def refinement_study(
             y = np.asarray(target(X), dtype=float)
         prob = FitProblem(
             X, y, K=K, J=J, tol=p.tol, use_linear_unit=p.use_linear_unit,
-            offset_range=p.offset_range, origin_value=p.origin_value,
+            offset_range=p.offset_range,
         )
         if method == "lp":
             rows.append({"K": K, "J": J, "norm": lp_oracle(prob), "gap": 0.0})

@@ -12,6 +12,8 @@ import numpy as np
 
 # largest deviation of a CSV axis from a uniform, shared axis, as a fraction of h
 AXIS_TOL = 1e-9
+# CSV rows formatted per block: only one block's values exist as Python floats at a time
+CSV_BLOCK_ROWS = 2**12
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,23 @@ class GridFunction2D:
     @staticmethod
     def from_csv(source: str | TextIO) -> "GridFunction2D":
         xs, ys, values = read_table_csv(source, "x,y,value")
-        n = xs.size
-        h = float(xs[1] - xs[0]) if n > 1 else 1.0
-        tol = AXIS_TOL * h
-        if np.abs(np.diff(xs) - h).max(initial=0.0) > tol:
-            raise ValueError("grid CSV x axis is not uniformly spaced")
-        if ys.size != n or np.abs(ys - xs).max() > tol:
+        h = uniform_step(xs, "grid CSV x axis")
+        if ys.size != xs.size or np.abs(ys - xs).max() > AXIS_TOL * h:
             raise ValueError("grid CSV y axis differs from its x axis")
         return GridFunction2D(values, h)
+
+
+def uniform_step(axis: np.ndarray, what: str) -> float:
+    """The step of a sorted CSV axis of at least 2 points whose steps all agree to AXIS_TOL of the first.
+
+    Any other axis raises a one-line ValueError that names it as ``what``.
+    """
+    if axis.size < 2:
+        raise ValueError(f"{what} needs at least 2 points, got {axis.size}")
+    h = float(axis[1] - axis[0])
+    if np.abs(np.diff(axis) - h).max() > AXIS_TOL * h:
+        raise ValueError(f"{what} is not uniformly spaced")
+    return h
 
 
 def read_csv(source: str | TextIO, header: str, label: str | None = None) -> np.ndarray:
@@ -140,8 +151,14 @@ def read_table_csv(source: str | TextIO, header: str) -> tuple[np.ndarray, np.nd
 
 def write_table_csv(header: str, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> str:
     """The CSV read_table_csv reads: one (a, b, value) row per cell, b varying fastest, as %.17g."""
-    rows = np.column_stack([np.repeat(a, b.size), np.tile(b, a.size), values.ravel()])
-    return f"{header}\n" + ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
+    v = values.ravel()
+    parts = [f"{header}\n"]
+    for r0 in range(0, v.size, CSV_BLOCK_ROWS):
+        cells = np.arange(r0, min(r0 + CSV_BLOCK_ROWS, v.size))
+        i, j = np.divmod(cells, b.size)
+        rows = np.column_stack([a[i], b[j], v[cells]])
+        parts.append(("%.17g,%.17g,%.17g\n" * cells.size) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def sample_grid(func, n: int, half_extent: float) -> GridFunction2D:

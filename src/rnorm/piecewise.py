@@ -110,16 +110,12 @@ def _poly_real_roots(coeffs, lo: float, hi: float) -> list[float]:
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
-    """Piecewise polynomial on consecutive intervals between sorted breakpoints.
-
-    With ``compact=True`` the function is identically zero outside
-    [breakpoints[0], breakpoints[-1]]; otherwise the outer pieces extend to
-    +/- infinity.
+    """Piecewise polynomial on consecutive intervals between sorted breakpoints,
+    identically zero outside [breakpoints[0], breakpoints[-1]].
     """
 
     breakpoints: tuple = ()
     pieces: tuple = ()
-    compact: bool = True
 
     def __post_init__(self):
         bps = [_as_exact(b) for b in self.breakpoints]
@@ -135,7 +131,7 @@ class PiecewisePolynomial:
 
     @staticmethod
     def zero() -> "PiecewisePolynomial":
-        return PiecewisePolynomial((), (), compact=True)
+        return PiecewisePolynomial((), ())
 
     @property
     def is_zero(self) -> bool:
@@ -143,12 +139,10 @@ class PiecewisePolynomial:
 
     def _piece_index(self, b) -> np.ndarray:
         """Index of the piece holding each b (right-open intervals, the last one
-        closed); -1 where the function is zero outside a compact support."""
+        closed); -1 outside the support, where the function is zero."""
         n = len(self.pieces)
         bps = np.array(self.breakpoints, dtype=float)
         i = np.searchsorted(bps, b, side="right") - 1
-        if not self.compact:
-            return np.clip(i, 0, n - 1)
         inside = (i >= 0) & (np.searchsorted(bps, b, side="left") <= n)
         return np.where(inside, np.minimum(i, n - 1), -1)
 
@@ -173,38 +167,20 @@ class PiecewisePolynomial:
         out = []
         n = len(self.pieces)
         for idx, bp in enumerate(self.breakpoints):
-            if idx == 0:
-                left = 0 if self.compact else poly_eval(self.pieces[0], bp)
-                right = poly_eval(self.pieces[0], bp) if n else 0
-            elif idx == len(self.breakpoints) - 1:
-                left = poly_eval(self.pieces[-1], bp) if n else 0
-                right = 0 if self.compact else poly_eval(self.pieces[-1], bp)
-            else:
-                left = poly_eval(self.pieces[idx - 1], bp)
-                right = poly_eval(self.pieces[idx], bp)
+            left = poly_eval(self.pieces[idx - 1], bp) if idx > 0 else 0
+            right = poly_eval(self.pieces[idx], bp) if idx < n else 0
             jump = right - left
             if jump != 0 and abs(float(jump)) > 1e-14 * (1.0 + abs(float(left)) + abs(float(right))):
                 out.append((bp, jump))
         return out
 
     def derivative_pieces(self) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            self.breakpoints, tuple(poly_derivative(p) for p in self.pieces), self.compact
-        )
-
-    def scale(self, s) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            self.breakpoints, tuple(poly_scale(p, s) for p in self.pieces), self.compact
-        )
+        return PiecewisePolynomial(self.breakpoints, tuple(poly_derivative(p) for p in self.pieces))
 
     def abs_integral(self) -> float:
-        """Exact integral of |p| over its domain; inf for unbounded support."""
+        """Exact integral of |p| over its support."""
         if not self.pieces or self.is_zero:
             return 0.0
-        if not self.compact:
-            outer = (self.pieces[0], self.pieces[-1])
-            if any(p for p in outer):
-                return math.inf
         total = 0.0
         for i, coeffs in enumerate(self.pieces):
             if not coeffs:
@@ -248,23 +224,12 @@ class DistributionalProfile:
         object.__setattr__(self, "atoms", cleaned)
 
 
-def _merge_atoms(atoms: list[tuple]) -> tuple:
-    merged: list[list] = []
-    for loc, mass in sorted(atoms, key=lambda a: float(a[0])):
-        if merged and abs(float(loc) - float(merged[-1][0])) <= BREAKPOINT_TOL:
-            merged[-1][1] += mass
-        else:
-            merged.append([loc, mass])
-    return tuple((loc, m) for loc, m in merged if m != 0)
-
-
 def pw_derivative(p: PiecewisePolynomial) -> DistributionalProfile:
-    """Distributional derivative: piecewise derivative plus one jump atom per breakpoint."""
-    return DistributionalProfile(
-        ac=p.derivative_pieces(),
-        atoms=_merge_atoms(p.boundary_jumps()),
-        atom_derivative_order=0,
-    )
+    """Distributional derivative: piecewise derivative plus one jump atom per breakpoint.
+
+    The atoms come sorted and distinct, as the breakpoints are, and zero jumps are dropped.
+    """
+    return DistributionalProfile(ac=p.derivative_pieces(), atoms=tuple(p.boundary_jumps()))
 
 
 def profile_derivative(q: DistributionalProfile) -> DistributionalProfile:
@@ -273,18 +238,11 @@ def profile_derivative(q: DistributionalProfile) -> DistributionalProfile:
     order = q.atom_derivative_order
     if q.atoms or order > 0:
         order += 1
-    return DistributionalProfile(
-        ac=base.ac,
-        atoms=_merge_atoms(list(base.atoms)),
-        atom_derivative_order=order,
-    )
+    return DistributionalProfile(ac=base.ac, atoms=base.atoms, atom_derivative_order=order)
 
 
 def profile_l1(q: DistributionalProfile) -> float:
     """Total variation: integral of |ac| plus summed |atom masses|; inf past order 0."""
     if q.atom_derivative_order >= 1:
         return math.inf
-    ac = q.ac.abs_integral()
-    if math.isinf(ac):
-        return math.inf
-    return ac + sum(abs(float(m)) for _, m in q.atoms)
+    return q.ac.abs_integral() + sum(abs(float(m)) for _, m in q.atoms)

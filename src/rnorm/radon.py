@@ -11,7 +11,7 @@ from typing import TextIO
 import numpy as np
 
 from .constants import constants
-from .grids import GridFunction2D, read_table_csv, write_table_csv
+from .grids import AXIS_TOL, GridFunction2D, read_table_csv, uniform_step, write_table_csv
 from .piecewise import (
     PiecewisePolynomial,
     poly_antiderivative,
@@ -25,10 +25,6 @@ from .piecewise import (
 
 class UnsupportedDimensionError(ValueError):
     """Raised when an analytic pipeline is asked for a dimension it excludes."""
-
-
-class OffsetRangeError(ValueError):
-    """Raised when the sinogram offset range fails to cover the function support."""
 
 
 OFFSET_MARGIN = 1.05
@@ -79,7 +75,13 @@ class Sinogram:
 
     @staticmethod
     def from_csv(source: str | TextIO) -> "Sinogram":
-        return Sinogram(*read_table_csv(source, "theta,b,value"))
+        """The sinogram to_csv writes: at least 2 uniform offsets, and the K angles k*pi/K."""
+        angles, offsets, values = read_table_csv(source, "theta,b,value")
+        uniform_step(offsets, "sinogram offsets")
+        step = math.pi / angles.size
+        if np.abs(angles - np.arange(angles.size) * step).max() > AXIS_TOL * step:
+            raise ValueError(f"sinogram angles are not k*pi/K for K={angles.size}")
+        return Sinogram(angles, offsets, values)
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class RadialFunction:
         if self.kind not in ("polynomial", "exp-bump"):
             raise ValueError(f"unknown radial profile kind {self.kind!r}")
         if self.kind == "polynomial":
-            if self.g is None or not self.g.compact:
-                raise ValueError("polynomial radial profiles must be compactly supported")
+            if self.g is None:
+                raise ValueError("a polynomial radial profile needs its piecewise polynomial g")
             if self.g.breakpoints and float(self.g.breakpoints[0]) < 0:
                 raise ValueError("radial profile domain starts at r >= 0")
 
@@ -148,11 +150,15 @@ def radial_radon_profile(f: RadialFunction) -> PiecewisePolynomial:
     if g.is_zero or not g.pieces:
         return PiecewisePolynomial.zero()
     m = (f.d - 3) // 2
-    bps = list(g.breakpoints)
-    npieces = len(g.pieces)
+    bps, pieces = list(g.breakpoints), list(g.pieces)
+    if bps[0] > 0:
+        # the hole below the support is a zero piece, over which rho sums every g-piece in full
+        bps.insert(0, Fraction(0))
+        pieces.insert(0, ())
+    npieces = len(pieces)
     # antiderivatives A_ij of g_i(t) * t^(2j+1), and their full-piece integrals
     anti = [
-        [poly_antiderivative(poly_mul(g.pieces[i], ((0,) * (2 * j + 1)) + (1,))) for j in range(m + 1)]
+        [poly_antiderivative(poly_mul(pieces[i], ((0,) * (2 * j + 1)) + (1,))) for j in range(m + 1)]
         for i in range(npieces)
     ]
     tail = [
@@ -163,15 +169,6 @@ def radial_radon_profile(f: RadialFunction) -> PiecewisePolynomial:
 
     pos_bps = []
     pos_pieces = []
-    if bps[0] > 0:
-        # pure-b piece below the profile support: every g-piece integrates fully
-        poly = ()
-        for j in range(m + 1):
-            total = sum(tail[i][j] for i in range(npieces))
-            mono = ((0,) * (2 * (m - j))) + (1,)
-            poly = poly_add(poly, poly_scale(mono, coef[j] * total))
-        pos_bps.append(Fraction(0))
-        pos_pieces.append(poly)
     for k in range(npieces):
         poly = ()
         for j in range(m + 1):
@@ -185,7 +182,7 @@ def radial_radon_profile(f: RadialFunction) -> PiecewisePolynomial:
         pos_pieces.append(poly_trim(poly))
     pos_bps.append(bps[-1])
 
-    # even extension to negative b; pos_bps[0] == 0 since radial breakpoints are >= 0
+    # even extension to negative b; pos_bps[0] == 0
     neg_bps = [-b for b in reversed(pos_bps[1:])]
     neg_pieces = [
         poly_trim(tuple(c * (-1) ** i for i, c in enumerate(p))) for p in reversed(pos_pieces)
@@ -251,7 +248,7 @@ def check_sinogram_size(K: int, J: int) -> None:
         raise ValueError(f"need at least 64 offsets, got {J}")
 
 
-def grid_radon_2d(f: GridFunction2D, K: int, J: int, offset_range: float | None = None) -> Sinogram:
+def grid_radon_2d(f: GridFunction2D, K: int, J: int) -> Sinogram:
     """Sampled Radon transform of a 2-D grid function (bilinear, step h/2), one thread per usable CPU.
 
     Each thread sweeps a contiguous block of angles, BLOCK_SAMPLES line samples at a time.
@@ -259,12 +256,7 @@ def grid_radon_2d(f: GridFunction2D, K: int, J: int, offset_range: float | None 
     from concurrent.futures import ThreadPoolExecutor
 
     check_sinogram_size(K, J)
-    B = OFFSET_MARGIN * f.half_diagonal if offset_range is None else float(offset_range)
-    if offset_range is not None and B < f.half_diagonal:
-        ax = f.axis()
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        if np.any((np.abs(f.values) > 0) & (np.sqrt(X**2 + Y**2) > B)):
-            raise OffsetRangeError("function support exceeds the sinogram offset range")
+    B = OFFSET_MARGIN * f.half_diagonal
     angles = np.arange(K) * math.pi / K
     offsets = np.linspace(-B, B, J)
     step = f.h / 2.0
@@ -313,17 +305,10 @@ def dual_radon_2d(s: Sinogram, n: int, h: float) -> GridFunction2D:
     return grid
 
 
-def fbp_inverse_2d(s: Sinogram, n: int | None = None, h: float | None = None) -> GridFunction2D:
-    """Filtered backprojection: |sigma|^(d-1) filter, dual transform, gamma_d scale (d=2)."""
+def fbp_inverse_2d(s: Sinogram, n: int, h: float) -> GridFunction2D:
+    """Filtered backprojection (d=2) onto an n x n grid of spacing h: |sigma| filter, dual, gamma_2 scale."""
     from .spectral import offset_power_derivative
 
-    if n is None or h is None:
-        # default grid: inscribed square of the offset range, offset-matched spacing
-        half = float(s.offsets[-1]) / (OFFSET_MARGIN * math.sqrt(2.0))
-        if h is None:
-            h = s.db
-        if n is None:
-            n = max(16, int(round(2 * half / h)))
     filtered = offset_power_derivative(s, 1)
     grid = dual_radon_2d(filtered, n, h)
     gamma_2 = constants(2).gamma_d

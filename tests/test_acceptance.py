@@ -228,7 +228,7 @@ def test_criterion_10_linear_unit_gap():
     )
     rnorm = rnorm_finite_net(net).value
     g = grad_at_infinity(net)
-    demo = rbar_gap_demo(K=128)
+    demo = rbar_gap_demo()
     with_lin = demo["fit_with_linear_unit"]
     without = demo["fit_without_linear_unit"]
     ok = (

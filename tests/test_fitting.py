@@ -177,12 +177,6 @@ class TestDictionary:
         Psi, _ = build_dictionary(p)
         assert np.abs(Psi[0]).max() == 0.0
 
-    def test_origin_value_removes_constant_column(self):
-        X = np.array([[0.5, 0.0]])
-        p = FitProblem(X, np.array([0.0]), K=4, J=3, origin_value=0.0)
-        _, L = build_dictionary(p)
-        assert L.shape == (1, 2)
-
 
 class TestSolver:
     def test_pure_linear_target_costs_nothing(self):

@@ -71,21 +71,14 @@ class TestPiecewisePolynomial:
     def test_array_evaluation_matches_pointwise_horner(self):
         def pointwise(p, x):
             bps = [float(b) for b in p.breakpoints]
-            if bps[0] <= x < bps[-1] or (p.compact and x == bps[-1]):
-                i = max(i for i in range(len(p.pieces)) if bps[i] <= x)
-            elif p.compact:
+            if not bps[0] <= x <= bps[-1]:
                 return 0.0
-            else:
-                i = 0 if x < bps[0] else len(p.pieces) - 1
+            i = max(i for i in range(len(p.pieces)) if bps[i] <= x)
             return float(poly_eval(p.pieces[i], x))
 
         pieces = ((1, 2), (Fraction(1, 7), 0, -3), (), (Fraction(-5, 3), 1, 0, 2))
         bps = (-1, Fraction(1, 3), 1, 2, Fraction(7, 2))
-        for p in (
-            PiecewisePolynomial(bps, pieces),
-            PiecewisePolynomial(bps, pieces, compact=False),
-            _bump_pw(3),
-        ):
+        for p in (PiecewisePolynomial(bps, pieces), _bump_pw(3)):
             edges = [float(b) for b in p.breakpoints]
             xs = np.concatenate([edges, np.linspace(edges[0] - 2.0, edges[-1] + 2.0, 97)])
             expected = [pointwise(p, x) for x in xs]
@@ -111,10 +104,6 @@ class TestPiecewisePolynomial:
         xs = np.linspace(0.0, 1.0, 1_000_001)
         quad = np.trapezoid(np.abs(-12.0 + 60.0 * xs**2), xs)
         assert p.abs_integral() == pytest.approx(quad, rel=1e-8)
-
-    def test_abs_integral_unbounded_support_is_infinite(self):
-        p = PiecewisePolynomial((-1, 1), ((1,),), compact=False)
-        assert math.isinf(p.abs_integral())
 
     def test_json_round_trip(self):
         p = PiecewisePolynomial((-1, 0, 2), ((1, 2), (0, 0, 3)))

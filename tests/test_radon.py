@@ -9,6 +9,7 @@ import pytest
 
 from rnorm import (
     GridFunction2D,
+    PiecewisePolynomial,
     RadialFunction,
     Sinogram,
     bump_poly,
@@ -19,7 +20,7 @@ from rnorm import (
     sample_grid,
 )
 import rnorm.radon
-from rnorm.radon import OFFSET_MARGIN, OffsetRangeError, UnsupportedDimensionError, _line_integral_batch
+from rnorm.radon import OFFSET_MARGIN, UnsupportedDimensionError, _line_integral_batch
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,22 @@ class TestRadialProfile:
     def test_even_or_low_dimension_rejected(self, d):
         with pytest.raises(UnsupportedDimensionError):
             radial_radon_profile(RadialFunction(d, bump_poly(1)))
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_shell_profile_matches_quadrature(self, d):
+        # support [1/3, 3/2]: below 1/3 every piece of g integrates in full
+        g = PiecewisePolynomial((1 / 3, 2 / 3, 3 / 2), ((1, 2, 0, -1), (5 / 7,)))
+        rho = radial_radon_profile(RadialFunction(d, g))
+        x, w = np.polynomial.legendre.leggauss(16)
+        for b in (0.0, 0.2, 1 / 3, 0.5, 2 / 3, 1.1, 1.5, 1.7):
+            expected = 0.0
+            for lo, hi in ((1 / 3, 2 / 3), (2 / 3, 3 / 2)):
+                lo = max(lo, b)
+                if lo < hi:
+                    t = lo + (hi - lo) * (x + 1.0) / 2.0
+                    expected += (hi - lo) / 2.0 * w @ (g(t) * (t * t - b * b) ** ((d - 3) // 2) * t)
+            assert rho(b) == pytest.approx(expected, rel=0, abs=1e-12)
+            assert rho(-b) == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_bump_poly_dilation(self):
         g = bump_poly(1, dilation=2)
@@ -97,10 +114,9 @@ class TestGridRadon:
     def test_linearity(self, gauss):
         f2 = sample_grid(lambda X, Y: np.exp(-((X - 1) ** 2 + Y**2)), 256, 8.0)
         combo = GridFunction2D(2.0 * gauss.values - 3.0 * f2.values, gauss.h)
-        B = 1.05 * gauss.half_diagonal
-        sa = grid_radon_2d(gauss, 32, 65, offset_range=B)
-        sb = grid_radon_2d(f2, 32, 65, offset_range=B)
-        sc = grid_radon_2d(combo, 32, 65, offset_range=B)
+        sa = grid_radon_2d(gauss, 32, 65)
+        sb = grid_radon_2d(f2, 32, 65)
+        sc = grid_radon_2d(combo, 32, 65)
         assert np.allclose(sc.values, 2.0 * sa.values - 3.0 * sb.values, atol=1e-12)
 
     def test_fourier_slice(self, gauss, gauss_sino):
@@ -123,10 +139,6 @@ class TestGridRadon:
             grid_radon_2d(gauss, 16, 129)
         with pytest.raises(ValueError):
             grid_radon_2d(gauss, 32, 32)
-
-    def test_offset_range_must_cover_support(self, gauss):
-        with pytest.raises(OffsetRangeError):
-            grid_radon_2d(gauss, 32, 65, offset_range=1.0)
 
 
 def _serial_loop(f, K, J):
@@ -311,6 +323,40 @@ class TestDualAndInverse:
             for j, b in enumerate(s.offsets):
                 lines.append(f"{th:.17g},{b:.17g},{s.values[k, j]:.17g}")
         assert s.to_csv() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "angles,offsets,message",
+        [
+            (np.arange(32) * math.pi / 32, np.linspace(-1.0, 1.0, 65) ** 3, "offsets is not uniformly spaced"),
+            (np.arange(32) * math.pi / 40, np.linspace(-1.0, 1.0, 65), "angles are not k\\*pi/K"),
+            (np.arange(32) * math.pi / 32, np.array([0.5]), "at least 2 points"),
+        ],
+    )
+    def test_sinogram_csv_rejects_malformed_axes(self, angles, offsets, message):
+        text = Sinogram(angles, offsets, np.ones((angles.size, offsets.size))).to_csv()
+        with pytest.raises(ValueError, match=message) as info:
+            Sinogram.from_csv(text)
+        assert "\n" not in str(info.value)
+
+    def test_sinogram_csv_text_peaks_below_two_and_a_half_times_its_size(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        angles, offsets = np.arange(256) * math.pi / 256, np.linspace(-11.4, 11.4, 513)
+        s = Sinogram(angles, offsets, rng.standard_normal((256, 513)))
+        s.to_csv()  # numpy's lazy imports happen before the trace
+        tracemalloc.start()
+        try:
+            text = s.to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), (peak, len(text))
+        # 131,328 rows: whole blocks of 2^12 and a partial last one, each row as %.17g
+        rows = "".join(
+            f"{th:.17g},{b:.17g},{v:.17g}\n" for th, row in zip(angles, s.values) for b, v in zip(offsets, row)
+        )
+        assert text == "theta,b,value\n" + rows
 
     def test_sinogram_l1_of_ones(self):
         angles = np.arange(32) * math.pi / 32

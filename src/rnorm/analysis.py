@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import FiniteReluNet, grad_at_infinity, rbar_bounds, rnorm_finite_net, rnorm_radial_odd
-from .fitting import FitProblem, min_norm_fit
+from .fitting import FitProblem, disc_samples, min_norm_fit
 from .radon import RadialFunction, bump_poly
 from .spectral import PwlCurvatureMeasure2D, RayDecaySample, pwl_fourier_ray
 
@@ -178,8 +178,8 @@ def rbar_gap_demo(seed: int = 0) -> dict:
 
     The exact norm without the linear unit exceeds the norm with it by twice
     the gradient at infinity: bracket [2, 4], both ends attained by fits of
-    200 seeded samples in the disc of radius 2 on a 128 x 65 atom grid, at
-    tolerance 1e-3 and at most 15 000 iterations each.
+    200 seeded samples in the disc of radius 2 on 128 angles (64 directions)
+    x 65 offsets, at tolerance 1e-3 and at most 15 000 iterations each.
     """
     net = FiniteReluNet(
         2,
@@ -190,10 +190,7 @@ def rbar_gap_demo(seed: int = 0) -> dict:
     g = grad_at_infinity(net)
     bounds = rbar_bounds(rnorm, g)
 
-    rng = np.random.default_rng(seed)
-    rr = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 200))
-    th = rng.uniform(0.0, 2.0 * math.pi, 200)
-    X = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
+    X = disc_samples(200, 2.0, seed)
     y = np.abs(X[:, 0]) + X[:, 1]
 
     fits = {}

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="minimum-norm measure fit to sampled values")
     p.add_argument("--samples", required=True, help="samples CSV (x1,x2,...,y)")
-    p.add_argument("--K", type=int, default=64, help="dictionary angle count")
+    p.add_argument("--K", type=int, default=64, help="even angle count over the full circle: K/2 directions")
     p.add_argument("--J", type=int, default=65, help="dictionary offset count")
     p.add_argument("--tol", type=float, default=1e-3, help="sup-norm fitting tolerance")
     p.add_argument("--no-linear-unit", action="store_true", help="disable the free linear unit")

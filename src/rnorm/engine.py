@@ -55,10 +55,7 @@ class FiniteReluNet:
 
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = X @ self.v + self.c
-        for a, w, b in self.units:
-            out = out + a * np.maximum(X @ w - b, 0.0)
-        return out
+        return np.maximum(X @ self.W.T - self.b, 0.0) @ self.a + X @ self.v + self.c
 
 
 @dataclass(frozen=True)
@@ -285,7 +282,8 @@ def sobolev_upper_bound_2d(f: GridFunction2D) -> float:
 
 
 def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
-    """Lower bound ||Delta f||_inf; radial closed form or grid s=2 multiplier."""
+    """Lower bound ||Delta f||_inf; radial closed form or grid s=2 multiplier.
+    A radial cone at the origin (g'(0) != 0) gives inf, the zero profile 0."""
     if isinstance(f, GridFunction2D):
         return float(np.abs(frac_laplacian_2d(f, 2.0).values).max())
     d = f.d
@@ -294,7 +292,11 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
         g1, g2 = _exp_bump_term(q1, 2), _exp_bump_term(q2, 4)
         rs = np.linspace(1e-6, 1.0 - 1e-9, 20001)
     else:
+        if f.g.is_zero:
+            return 0.0
         g1 = f.g.derivative_pieces()
+        if f.g.breakpoints[0] == 0 and g1.eval_exact(0) != 0:
+            return math.inf  # (d-1) g'(r)/r is unbounded as r -> 0
         g2 = g1.derivative_pieces()
         rs = np.linspace(f.support_radius * 1e-9, f.support_radius, 20001)[1:]
     vals = np.abs(g2(rs) + (d - 1) * g1(rs) / rs)
@@ -303,10 +305,7 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
 
 def grad_at_infinity(net: FiniteReluNet) -> np.ndarray:
     """Sphere-averaged gradient at infinite radius: (1/2) sum a_i w_i + v."""
-    total = np.array(net.v, dtype=float)
-    for a, w, b in net.units:
-        total = total + 0.5 * a * w
-    return total
+    return net.v + 0.5 * (net.a @ net.W)
 
 
 def grad_at_infinity_estimate(func) -> tuple[np.ndarray, bool]:

@@ -21,21 +21,30 @@ from .radon import UnsupportedDimensionError
 
 DEFAULT_MAX_ITER = 50_000
 INTERPOLATION_SLACK = 1e-8
-# entries of the N x (K J) dictionary Psi: 256 MiB per float64 copy
+# entries of the N x (K/2 J) dictionary Psi: 256 MiB per float64 copy
 MAX_DICTIONARY_ENTRIES = 2**25
 
 
 def check_dictionary_size(N: int, K: int, J: int) -> None:
-    """Raise ValueError when N samples on a K x J atom grid exceed MAX_DICTIONARY_ENTRIES."""
-    if N * K * J > MAX_DICTIONARY_ENTRIES:
+    """Raise ValueError when Psi for N samples, K angles (full circle) and J offsets is too large."""
+    if N * (K // 2) * J > MAX_DICTIONARY_ENTRIES:
         raise ValueError(
-            f"dictionary of {N} samples x {K}x{J} atoms exceeds {MAX_DICTIONARY_ENTRIES} entries"
+            f"dictionary of {N} samples x {K // 2}x{J} atoms exceeds {MAX_DICTIONARY_ENTRIES} entries"
         )
+
+
+def disc_samples(n: int, radius: float, seed: int) -> np.ndarray:
+    """n points uniform in the disc of this radius; default_rng(seed) draws n radii, then n angles."""
+    rng = np.random.default_rng(seed)
+    rr = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    th = rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
 
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Samples plus the atom-grid discretization of the fitting program."""
+    """Samples plus the atom grid: K angles over the full circle (K even), whose first K/2
+    directions, each with both orientations, and J offsets make the dictionary."""
 
     X: np.ndarray
     y: np.ndarray
@@ -52,8 +61,8 @@ class FitProblem:
             raise ValueError("need one target per sample point")
         if X.shape[1] != 2:
             raise UnsupportedDimensionError(f"atom dictionaries are implemented for d=2, got d={X.shape[1]}")
-        if self.K < 1 or self.J < 2:
-            raise ValueError(f"atom grid needs K >= 1 angles and J >= 2 offsets, got K={self.K}, J={self.J}")
+        if self.K < 2 or self.K % 2 or self.J < 2:
+            raise ValueError(f"atom grid needs an even K >= 2 and J >= 2 offsets, got K={self.K}, J={self.J}")
         check_dictionary_size(X.shape[0], self.K, self.J)
         if not 0 <= self.tol < math.inf:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.tol}")
@@ -69,15 +78,11 @@ class FitProblem:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "offset_range", float(B))
 
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
     def atom_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full-circle angle grid and uniform offsets for d=2."""
-        angles = np.arange(self.K) * 2.0 * math.pi / self.K
+        """The (K/2, 2) unit directions (cos 2 pi k/K, sin 2 pi k/K), k < K/2, and the J uniform offsets."""
+        angles = np.arange(self.K // 2) * 2.0 * math.pi / self.K
         offsets = np.linspace(-self.offset_range, self.offset_range, self.J)
-        return angles, offsets
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1), offsets
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,8 @@ class FitResult:
 def build_dictionary(p: FitProblem) -> tuple[np.ndarray, np.ndarray]:
     """Even-measure feature matrix: variable (k, j) places mass t/2 at both
     (w_k, b_j) and (-w_k, -b_j), so its column is 0.5 (|w_k.x - b_j| - |b_j|),
-    offset-major within each angle block.
+    offset-major within each angle block.  With w_k on the half circle, Psi is
+    N x (K/2 J) and no pair of columns repeats.
 
     Returns (Psi, L) where L stacks the unpenalized columns: sample
     coordinates when the linear unit is enabled, then the constant column.
@@ -122,8 +128,7 @@ def build_dictionary(p: FitProblem) -> tuple[np.ndarray, np.ndarray]:
     one-sided atom at the far edge of the offset range would represent any
     linear trend at half its true cost on a bounded sample set.
     """
-    angles, offsets = p.atom_grid()
-    W = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    W, offsets = p.atom_grid()
     proj = p.X @ W.T
     Psi = 0.5 * (np.abs(proj[:, :, None] - offsets[None, None, :]) - np.abs(offsets)[None, None, :])
     Psi = Psi.reshape(p.X.shape[0], -1)
@@ -136,12 +141,11 @@ def _result_from_weights(
     p: FitProblem, a: np.ndarray, zcols: np.ndarray, Phi: np.ndarray, L: np.ndarray,
     gap: float, iters: int, converged: bool,
 ) -> FitResult:
-    angles, offsets = p.atom_grid()
-    W = np.array([[math.cos(th), math.sin(th)] for th in angles])
+    W, offsets = p.atom_grid()
     kept = np.nonzero(np.abs(a) > 1e-10)[0]
     k, j = np.divmod(kept, p.J)
     measure = even_part(zip(W[k], offsets[j], a[kept]))
-    v = zcols[: p.d] if p.use_linear_unit else np.zeros(p.d)
+    v = zcols[:2] if p.use_linear_unit else np.zeros(2)
     return FitResult(
         measure=measure,
         v=np.asarray(v, dtype=float),
@@ -282,11 +286,7 @@ def refinement_study(
     if radius is None:
         radius = float(np.linalg.norm(p.X, axis=1).max())
     if target is not None:
-        rng = np.random.default_rng(seed)
-        n_pool = p.X.shape[0] * 2 ** (levels - 1)
-        rr = radius * np.sqrt(rng.uniform(0.0, 1.0, n_pool))
-        th = rng.uniform(0.0, 2.0 * math.pi, n_pool)
-        pool = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
+        pool = disc_samples(p.X.shape[0] * 2 ** (levels - 1), radius, seed)
     rows = []
     for level in range(levels):
         K = p.K * 2**level

@@ -35,7 +35,8 @@ class Sinogram:
     """Sampled Radon transform on a half-circle of angles times uniform offsets.
 
     Angles are theta_k = k*pi/K; the other half circle is implied by the
-    evenness identification psi(-w, -b) = psi(w, b).
+    evenness identification psi(-w, -b) = psi(w, b).  Construction rejects
+    fewer than 2 offsets, non-uniform offsets and angles other than k*pi/K.
     """
 
     angles: np.ndarray
@@ -48,6 +49,9 @@ class Sinogram:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (a.size, b.size):
             raise ValueError("sinogram values must be angles x offsets")
+        uniform_step(b, "sinogram offsets")
+        if a.size == 0 or np.abs(a * a.size / math.pi - np.arange(a.size)).max() > AXIS_TOL:
+            raise ValueError(f"sinogram angles are not k*pi/K for K={a.size}")
         for arr in (a, b, v):
             arr.setflags(write=False)
         object.__setattr__(self, "angles", a)
@@ -75,13 +79,8 @@ class Sinogram:
 
     @staticmethod
     def from_csv(source: str | TextIO) -> "Sinogram":
-        """The sinogram to_csv writes: at least 2 uniform offsets, and the K angles k*pi/K."""
-        angles, offsets, values = read_table_csv(source, "theta,b,value")
-        uniform_step(offsets, "sinogram offsets")
-        step = math.pi / angles.size
-        if np.abs(angles - np.arange(angles.size) * step).max() > AXIS_TOL * step:
-            raise ValueError(f"sinogram angles are not k*pi/K for K={angles.size}")
-        return Sinogram(angles, offsets, values)
+        """The sinogram to_csv writes; malformed axes raise as in the constructor."""
+        return Sinogram(*read_table_csv(source, "theta,b,value"))
 
 
 @dataclass(frozen=True)

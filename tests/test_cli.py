@@ -271,6 +271,7 @@ def _diagnose_argv(tmp_path, doc):
         (lambda t: _fit_argv(t, "--levels", "1"), EXIT_USAGE),
         (lambda t: _fit_argv(t, "--levels", "-1"), EXIT_USAGE),
         (lambda t: _fit_argv(t, "--K", "0"), EXIT_USAGE),
+        (lambda t: _fit_argv(t, "--K", "15"), EXIT_USAGE),
         (lambda t: _fit_argv(t, "--levels", "40"), EXIT_USAGE),
         (lambda t: _fit_argv(t, "--K", "100000", "--J", "100000"), EXIT_USAGE),
         (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "nan"], EXIT_USAGE),
@@ -283,7 +284,7 @@ def _diagnose_argv(tmp_path, doc):
         (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--out", os.path.join(__file__, "out")], EXIT_IO),
     ],
     ids=[
-        "fit-tol-negative", "fit-tol-nan", "fit-levels-1", "fit-levels-negative", "fit-K-0",
+        "fit-tol-negative", "fit-tol-nan", "fit-levels-1", "fit-levels-negative", "fit-K-0", "fit-K-odd",
         "fit-levels-40", "fit-dictionary-too-large",
         "radial-epsilon-nan", "radial-epsilon-inf", "diagnose-list", "diagnose-segments-int",
         "diagnose-3d-normal", "diagnose-zero-normal", "out-below-a-file",

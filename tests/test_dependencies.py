@@ -41,6 +41,13 @@ with tempfile.TemporaryDirectory() as tmp:
     with contextlib.redirect_stdout(io.StringIO()):
         code = rnorm.cli.main(["grid", "--input", path, "--K", "32", "--J", "64", "--out", os.path.join(tmp, "out")])
     assert code == 0, code
+    # `rnorm fit` with refinement levels: the whole fit route, solver included
+    path = os.path.join(tmp, "samples.csv")
+    X = rnorm.fitting.disc_samples(12, 1.0, 0)
+    np.savetxt(path, np.column_stack([X, np.abs(X[:, 0])]), delimiter=",", header="x1,x2,y", comments="")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = rnorm.cli.main(["fit", "--samples", path, "--K", "8", "--J", "9", "--levels", "2"])
+    assert code in (0, 5), code
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 # the sinogram's thread pool is shut down on return: no idle workers stay behind
@@ -49,7 +56,7 @@ assert threading.active_count() == 1, threading.enumerate()
 
 
 def test_import_and_exact_routes_load_no_scipy():
-    # the exact routes load neither scipy nor sympy; a grid sinogram and `rnorm grid` load no scipy
+    # the exact routes load neither scipy nor sympy; a grid sinogram, `rnorm grid` and `rnorm fit` load no scipy
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", _ROUTES_WITHOUT_SCIPY], capture_output=True, text=True, env=env, timeout=120

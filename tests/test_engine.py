@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rnorm import (
     sobolev_upper_bound_2d,
 )
 from rnorm.engine import _exp_bump_factors, _exp_bump_term
+from rnorm.piecewise import PiecewisePolynomial
 from rnorm.radon import UnsupportedDimensionError
 
 E1 = np.array([1.0, 0.0])
@@ -67,6 +69,20 @@ class TestFiniteNet:
         net = FiniteReluNet(2, ((1.0, E1, 0.0),), v=E2, c=1.0)
         X = np.array([[2.0, 3.0], [-2.0, 3.0]])
         assert np.allclose(net(X), [6.0, 4.0])
+
+    def test_array_evaluation_and_gradient_match_per_unit_loops(self):
+        rng = np.random.default_rng(3)
+        th = rng.uniform(0.0, 2.0 * math.pi, 200)
+        units = tuple(zip(rng.standard_normal(200), map(_unit, th), rng.uniform(-1.0, 1.0, 200)))
+        net = FiniteReluNet(2, units, v=np.array([0.3, -0.2]), c=0.7)
+        X = rng.uniform(-2.0, 2.0, (50, 2))
+        value = X @ net.v + net.c
+        grad = np.array(net.v)
+        for a, w, b in units:
+            value = value + a * np.maximum(X @ w - b, 0.0)
+            grad = grad + 0.5 * a * w
+        assert np.allclose(net(X), value, rtol=1e-12, atol=0)
+        assert np.allclose(grad_at_infinity(net), grad, rtol=1e-12, atol=0)
 
     def test_units_are_kept_as_read_only_arrays(self):
         units = ((2.0, _unit(0.3), 0.5), (-1.0, _unit(1.1), -0.2))
@@ -176,6 +192,19 @@ class TestLaplacianBound:
     def test_exp_bump(self):
         for d, expected in ((3, 7.124493853053047), (5, 6.564245746800119)):
             assert laplacian_lower_bound(RadialFunction(d, kind="exp-bump")) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_cone_at_origin_is_unbounded(self, d, radius):
+        # (radius - r)_+ : Delta f ~ -(d-1)/r near the origin
+        cone = PiecewisePolynomial((0, radius), ((radius, -1),))
+        assert laplacian_lower_bound(RadialFunction(d, cone)) == math.inf
+
+    def test_zero_and_shell_profiles(self):
+        assert laplacian_lower_bound(RadialFunction(3, PiecewisePolynomial.zero())) == 0.0
+        # g = 1 - r on [1/3, 3/2]: the sampled |g'' + (d-1) g'/r| = 2/r peaks at r = 1/3
+        shell = PiecewisePolynomial((Fraction(1, 3), Fraction(3, 2)), ((1, -1),))
+        assert laplacian_lower_bound(RadialFunction(3, shell)) == pytest.approx(6.0, rel=1e-3)
 
     def test_grid_gaussian(self, gaussian_256):
         # max |Delta e^{-r^2/2}| = 2 at the origin.

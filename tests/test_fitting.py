@@ -16,13 +16,7 @@ from rnorm import (
     min_norm_fit,
     refinement_study,
 )
-
-
-def _disc_samples(n: int, radius: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    rr = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
-    th = rng.uniform(0.0, 2.0 * math.pi, n)
-    return np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
+from rnorm.fitting import disc_samples
 
 
 class TestAtomicMeasure:
@@ -134,7 +128,8 @@ class TestFitProblem:
         X = np.zeros((3, 2))
         with pytest.raises(ValueError):
             FitProblem(X, np.zeros(2))
-        for bad in ({"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"K": 0}, {"J": 1}, {"K": 10**5, "J": 10**5}):
+        bads = ({"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"K": 0}, {"K": 15}, {"J": 1}, {"K": 10**5, "J": 10**5})
+        for bad in bads:
             with pytest.raises(ValueError):
                 FitProblem(X, np.zeros(3), **bad)
         with pytest.raises(ValueError):
@@ -144,8 +139,8 @@ class TestFitProblem:
         X = 2.0 * np.eye(2)
         p = FitProblem(X, np.zeros(2))
         assert p.offset_range == pytest.approx(2.1)
-        angles, offsets = p.atom_grid()
-        assert angles.size == p.K and offsets.size == p.J
+        W, offsets = p.atom_grid()
+        assert W.shape == (p.K // 2, 2) and offsets.size == p.J
         assert offsets[0] == -offsets[-1] == -p.offset_range
 
     def test_rejects_samples_not_in_2d(self):
@@ -159,9 +154,10 @@ class TestDictionary:
         X = np.array([[0.5, 0.0]])
         p = FitProblem(X, np.array([0.0]), K=4, J=3, offset_range=1.0)
         Psi, L = build_dictionary(p)
-        angles, offsets = p.atom_grid()
-        for k, th in enumerate(angles):
-            w = np.array([math.cos(th), math.sin(th)])
+        W, offsets = p.atom_grid()
+        assert np.allclose(W, [[1.0, 0.0], [0.0, 1.0]], rtol=0, atol=1e-15)  # angles 0 and pi/2 of K=4
+        assert Psi.shape == (1, 2 * 3)
+        for k, w in enumerate(W):
             for j, b in enumerate(offsets):
                 expected = 0.5 * (abs(float(X[0] @ w) - b) - abs(b))
                 assert Psi[0, k * p.J + j] == pytest.approx(expected, abs=1e-15)
@@ -170,6 +166,16 @@ class TestDictionary:
         # linear unit plus constant column
         assert L.shape == (1, 3)
         assert np.allclose(L[0], [0.5, 0.0, 1.0])
+
+    def test_half_circle_columns_are_distinct(self):
+        # a full-circle grid repeats column (k, j) as (k + K/2, J-1-j) up to rounding
+        X = disc_samples(60, 1.0, 4)
+        p = FitProblem(X, np.zeros(60), K=16, J=5)
+        Psi, _ = build_dictionary(p)
+        assert Psi.shape == (60, 8 * 5)
+        diff = np.abs(Psi[:, :, None] - Psi[:, None, :]).max(axis=0)
+        np.fill_diagonal(diff, np.inf)
+        assert diff.min() > 1e-12 * np.abs(Psi).max()
 
     def test_columns_vanish_at_origin(self):
         X = np.array([[0.0, 0.0], [0.3, -0.2]])
@@ -180,7 +186,7 @@ class TestDictionary:
 
 class TestSolver:
     def test_pure_linear_target_costs_nothing(self):
-        X = _disc_samples(60, 1.5, 3)
+        X = disc_samples(60, 1.5, 3)
         y = X @ np.array([1.0, 2.0]) + 0.5
         fit = min_norm_fit(FitProblem(X, y, K=16, J=17, tol=1e-3), max_iter=5000)
         assert fit.objective <= 1e-6
@@ -189,14 +195,14 @@ class TestSolver:
         assert fit.residual_max <= 1e-3 * 1.001 + 1e-9
 
     def test_result_net_reproduces_fit(self):
-        X = _disc_samples(50, 1.2, 5)
+        X = disc_samples(50, 1.2, 5)
         y = np.abs(X[:, 0]) - 0.3 * X[:, 1]
         fit = min_norm_fit(FitProblem(X, y, K=16, J=17, tol=1e-3))
         net = fit.as_net()
         assert np.abs(net(X) - y).max() <= fit.residual_max + 1e-8
 
     def test_matches_lp_oracle(self):
-        X = _disc_samples(40, 1.0, 7)
+        X = disc_samples(40, 1.0, 7)
         y = np.abs(X[:, 0] + X[:, 1]) / math.sqrt(2.0)
         p = FitProblem(X, y, K=16, J=17, tol=1e-3)
         fit = min_norm_fit(p)
@@ -204,7 +210,7 @@ class TestSolver:
         assert fit.objective == pytest.approx(exact, rel=0.005)
 
     def test_measure_is_even(self):
-        X = _disc_samples(30, 1.0, 9)
+        X = disc_samples(30, 1.0, 9)
         y = np.abs(X[:, 0])
         fit = min_norm_fit(FitProblem(X, y, K=8, J=9, tol=1e-2), max_iter=4000)
         atoms = {(round(w[0], 6), round(w[1], 6), round(b, 6)): wt for w, b, wt in fit.measure.atoms}
@@ -212,7 +218,7 @@ class TestSolver:
             assert atoms[(-w0, -w1 if w1 != 0 else 0.0, -b if b != 0 else 0.0)] == pytest.approx(wt)
 
     def test_deterministic(self):
-        X = _disc_samples(30, 1.0, 11)
+        X = disc_samples(30, 1.0, 11)
         y = np.abs(X[:, 1])
         p = FitProblem(X, y, K=8, J=9, tol=1e-2)
         a = min_norm_fit(p, max_iter=2000)
@@ -224,7 +230,7 @@ class TestSolver:
 
 class TestRefinement:
     def test_validation(self):
-        X = _disc_samples(10, 1.0, 0)
+        X = disc_samples(10, 1.0, 0)
         p = FitProblem(X, np.zeros(10), K=8, J=9)
         with pytest.raises(ValueError):
             refinement_study(p, 1)
@@ -235,7 +241,7 @@ class TestRefinement:
                 refinement_study(p, 40, target=target)
 
     def test_levels_double_grid_and_samples(self):
-        X = _disc_samples(12, 1.0, 1)
+        X = disc_samples(12, 1.0, 1)
         p = FitProblem(X, X @ np.array([1.0, 0.0]), K=8, J=9, tol=1e-2)
         rows = refinement_study(p, 2, target=lambda Z: Z @ np.array([1.0, 0.0]), max_iter=1500)
         assert [r["K"] for r in rows] == [8, 16]
@@ -243,7 +249,7 @@ class TestRefinement:
         assert all(r["norm"] <= 1e-4 for r in rows)  # linear target is free
 
     def test_lp_method_reports_zero_gap(self):
-        X = _disc_samples(12, 1.0, 2)
+        X = disc_samples(12, 1.0, 2)
         target = lambda Z: np.abs(Z @ np.array([0.0, 1.0]))
         p = FitProblem(X, target(X), K=8, J=9, tol=1e-2)
         rows = refinement_study(p, 2, target=target, method="lp")
@@ -251,9 +257,41 @@ class TestRefinement:
         assert all(r["norm"] == pytest.approx(2.0, rel=0.25) for r in rows)
 
 
+def _full_circle_lp(p: FitProblem) -> float:
+    """The same LP over all K directions of the full circle, each of the K J columns with its own weight."""
+    from scipy.optimize import linprog
+
+    th = np.arange(p.K) * 2.0 * math.pi / p.K
+    offsets = np.linspace(-p.offset_range, p.offset_range, p.J)
+    proj = p.X @ np.stack([np.cos(th), np.sin(th)])
+    Psi = 0.5 * (np.abs(proj[:, :, None] - offsets) - np.abs(offsets)).reshape(p.X.shape[0], -1)
+    L = np.column_stack([p.X, np.ones(p.X.shape[0])])
+    M = Psi.shape[1]
+    block = np.concatenate([Psi, -Psi, L], axis=1)
+    res = linprog(
+        np.concatenate([np.ones(2 * M), np.zeros(3)]),
+        A_ub=np.concatenate([block, -block]),
+        b_ub=np.concatenate([p.y + p.tol, p.tol - p.y]),
+        bounds=[(0, None)] * (2 * M) + [(None, None)] * 3,
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def test_lp_oracle_matches_full_circle_lp():
+    # planted units at full-circle angles 3 and 11 of K=16: the second is -w of angle 3 on the half circle
+    X = disc_samples(40, 1.0, 17)
+    th = np.array([3, 11, 6]) * 2.0 * math.pi / 16
+    W = np.stack([np.cos(th), np.sin(th)], axis=1)
+    y = np.maximum(X @ W.T - np.array([0.2, -0.1, 0.4]), 0.0) @ np.array([1.5, -0.7, 0.9])
+    p = FitProblem(X, y, K=16, J=9, tol=1e-3)
+    assert lp_oracle(p) == pytest.approx(_full_circle_lp(p), rel=1e-9)
+
+
 def test_lp_oracle_on_representable_target():
     # |w.x| with w on the atom grid costs exactly 2 under interpolation.
-    X = _disc_samples(40, 1.0, 13)
+    X = disc_samples(40, 1.0, 13)
     y = np.abs(X[:, 0])
     value = lp_oracle(FitProblem(X, y, K=8, J=9, tol=0.0))
     assert value == pytest.approx(2.0, rel=1e-6)

@@ -20,6 +20,7 @@ from rnorm import (
     sample_grid,
 )
 import rnorm.radon
+from rnorm.grids import write_table_csv
 from rnorm.radon import OFFSET_MARGIN, UnsupportedDimensionError, _line_integral_batch
 
 
@@ -272,6 +273,13 @@ class TestThreadedGridRadon:
         assert 1 <= len(threads) <= cpus
 
 
+MALFORMED_AXES = [
+    (np.arange(32) * math.pi / 32, np.linspace(-1.0, 1.0, 65) ** 3, "offsets is not uniformly spaced"),
+    (np.arange(32) * math.pi / 40, np.linspace(-1.0, 1.0, 65), "angles are not k\\*pi/K"),
+    (np.arange(32) * math.pi / 32, np.array([0.5]), "at least 2 points"),
+]
+
+
 class TestDualAndInverse:
     def test_dual_of_constant_is_two_pi(self):
         angles = np.arange(32) * math.pi / 32
@@ -324,18 +332,17 @@ class TestDualAndInverse:
                 lines.append(f"{th:.17g},{b:.17g},{s.values[k, j]:.17g}")
         assert s.to_csv() == "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize(
-        "angles,offsets,message",
-        [
-            (np.arange(32) * math.pi / 32, np.linspace(-1.0, 1.0, 65) ** 3, "offsets is not uniformly spaced"),
-            (np.arange(32) * math.pi / 40, np.linspace(-1.0, 1.0, 65), "angles are not k\\*pi/K"),
-            (np.arange(32) * math.pi / 32, np.array([0.5]), "at least 2 points"),
-        ],
-    )
+    @pytest.mark.parametrize("angles,offsets,message", MALFORMED_AXES)
     def test_sinogram_csv_rejects_malformed_axes(self, angles, offsets, message):
-        text = Sinogram(angles, offsets, np.ones((angles.size, offsets.size))).to_csv()
+        text = write_table_csv("theta,b,value", angles, offsets, np.ones((angles.size, offsets.size)))
         with pytest.raises(ValueError, match=message) as info:
             Sinogram.from_csv(text)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("angles,offsets,message", MALFORMED_AXES)
+    def test_sinogram_rejects_malformed_axes(self, angles, offsets, message):
+        with pytest.raises(ValueError, match=message) as info:
+            Sinogram(angles, offsets, np.ones((angles.size, offsets.size)))
         assert "\n" not in str(info.value)
 
     def test_sinogram_csv_text_peaks_below_two_and_a_half_times_its_size(self):

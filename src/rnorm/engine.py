@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,11 +47,6 @@ class FiniteReluNet:
         for arr in (self.a, self.W, self.b, self.v):
             arr.setflags(write=False)
 
-    @property
-    def units(self) -> tuple:
-        """The (a, w, b) of each unit; w is a row of W."""
-        return tuple(zip(self.a.tolist(), self.W, self.b.tolist()))
-
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.maximum(X @ self.W.T - self.b, 0.0) @ self.a + X @ self.v + self.c
@@ -87,9 +81,6 @@ class RNormReport:
             "diagnostics": self.diagnostics,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class RbarBounds:
@@ -112,10 +103,6 @@ class RbarBounds:
     @property
     def upper(self) -> float:
         return self.rnorm + 2.0 * float(np.linalg.norm(self.grad_inf))
-
-    @property
-    def is_tight(self) -> bool:
-        return float(np.linalg.norm(self.grad_inf)) == 0.0
 
 
 def rbar_bounds(rnorm: float, grad_inf) -> RbarBounds:

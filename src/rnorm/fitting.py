@@ -4,9 +4,11 @@ The primary solver is a Chambolle-Pock primal-dual iteration on
 
     min ||a||_1   s.t.  |Phi a + L z - y|_inf <= tau,
 
-with the linear unit and bias collected in the unpenalized block L z.  An
-independent exact LP oracle (scipy HiGHS) backs the same discretization for
-cross-checking.
+with the linear unit and bias collected in the unpenalized block L z.  The
+loop runs on one operator [Phi diag(1/colnorm) | L] and one vector (a, z),
+in a tube narrowed by the stopping rule's slack, so a converged fit has
+every |residual| <= tol (<= 1e-8 at tol 0).  An independent exact LP oracle
+(scipy HiGHS) backs the same discretization for cross-checking.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .engine import AtomicMeasure, FiniteReluNet, even_part
 from .radon import UnsupportedDimensionError
 
 DEFAULT_MAX_ITER = 50_000
+GAP_CHECK_EVERY = 250
 INTERPOLATION_SLACK = 1e-8
 # entries of the N x (K/2 J) dictionary Psi: 256 MiB per float64 copy
 MAX_DICTIONARY_ENTRIES = 2**25
@@ -162,17 +165,25 @@ def min_norm_fit(
     p: FitProblem,
     max_iter: int = DEFAULT_MAX_ITER,
     gap_tol: float | None = None,
-    check_every: int = 250,
 ) -> FitResult:
     """First-order primal-dual solve of the tau-tube minimum-L1 program.
 
     Deterministic: zero initialization, fixed step sizes from a 100-step
-    power iteration with a fixed seed.  Stops at duality gap <=
-    1e-6 * ||y||_inf (or gap_tol) or at max_iter.
+    power iteration with a fixed seed.  Every GAP_CHECK_EVERY iterations it
+    stops once every |residual| <= tau = max(tol, INTERPOLATION_SLACK) and the
+    duality gap is <= 1e-6 * ||y||_inf (or gap_tol); otherwise at max_iter.
+    The iterates live in the narrower tube (tau - 1e-9) / (1 + 1e-3), so that
+    converged=True means every |residual| <= tol (<= 1e-8 at tol 0).
+
+    The loop runs on one operator K = [Psi diag(1/colnorm) | L] acting on
+    x = (a, z): two matrix-vector products per iteration and in-place updates
+    of buffers allocated before it.  The solve holds two copies of Psi.
     """
     Phi, L = build_dictionary(p)
     y = p.y
     tau = max(p.tol, INTERPOLATION_SLACK)
+    # iterate in a tube whose slack band tau_in (1 + 1e-3) + 1e-9 is tau itself
+    tau_in = (tau - 1e-9) / (1.0 + 1e-3)
     yscale = max(float(np.abs(y).max()), 1e-12)
     if gap_tol is None:
         gap_tol = 1e-6 * yscale
@@ -180,54 +191,69 @@ def min_norm_fit(
     # column equilibration keeps the problem equivalent via weighted soft-thresholds
     colnorm = np.linalg.norm(Phi, axis=0)
     colnorm[colnorm == 0] = 1.0
-    Phis = Phi / colnorm
-    Kmat = np.concatenate([Phis, L], axis=1)
-    M = Phis.shape[1]
+    N, M = Phi.shape
+    Kmat = np.empty((N, M + L.shape[1]))
+    np.divide(Phi, colnorm, out=Kmat[:, :M])
+    Kmat[:, M:] = L
+    KmatT = Kmat.T
 
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(Kmat.shape[1])
     for _ in range(100):
-        vec = Kmat.T @ (Kmat @ vec)
+        vec = KmatT @ (Kmat @ vec)
         vec /= np.linalg.norm(vec)
-    opnorm = math.sqrt(float(vec @ (Kmat.T @ (Kmat @ vec))))
+    opnorm = math.sqrt(float(vec @ (KmatT @ (Kmat @ vec))))
     step = 0.99 / max(opnorm, 1e-12)
 
     Lpinv = np.linalg.pinv(L)
-
-    a = np.zeros(M)
-    z = np.zeros(L.shape[1])
-    lam = np.zeros(y.size)
-    a_bar, z_bar = a.copy(), z.copy()
-    weights = 1.0 / colnorm  # l1 weights of the equilibrated variables
 
     def dual_value(lam_raw: np.ndarray) -> float:
         lam_f = lam_raw - L @ (Lpinv @ lam_raw)
         scale = float(np.abs(Phi.T @ lam_f).max())
         if scale > 1.0:
             lam_f = lam_f / scale
-        return float(-y @ lam_f - tau * np.abs(lam_f).sum())
+        return float(-y @ lam_f - tau_in * np.abs(lam_f).sum())
 
+    # soft-threshold(u, t) = u - clip(u, -t, t); t = 0 leaves the free z entries alone
+    lam_t = step * tau_in
+    weights = 1.0 / colnorm  # l1 weights of the equilibrated variables
+    x_t = np.zeros(Kmat.shape[1])
+    x_t[:M] = step * weights
+    neg_x_t = -x_t
+    step_y = step * y
+
+    x, x_old, x_bar, v = (np.zeros(Kmat.shape[1]) for _ in range(4))
+    lam, u = np.zeros(N), np.empty(N)
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        u = lam + step * (Phis @ a_bar + L @ z_bar) - step * y
-        lam = np.sign(u) * np.maximum(np.abs(u) - step * tau, 0.0)
-        a_old, z_old = a, z
-        grad_a = Phis.T @ lam
-        a = np.sign(a - step * grad_a) * np.maximum(np.abs(a - step * grad_a) - step * weights, 0.0)
-        z = z - step * (L.T @ lam)
-        a_bar = 2.0 * a - a_old
-        z_bar = 2.0 * z - z_old
-        if it % check_every == 0:
-            resid = float(np.abs(Phis @ a + L @ z - y).max())
-            primal = float((weights * np.abs(a)).sum())
+        np.dot(Kmat, x_bar, out=u)
+        u *= step
+        u += lam
+        u -= step_y
+        np.minimum(u, lam_t, out=lam)
+        np.maximum(lam, -lam_t, out=lam)
+        np.subtract(u, lam, out=lam)
+        x, x_old = x_old, x
+        np.dot(KmatT, lam, out=v)
+        v *= step
+        np.subtract(x_old, v, out=v)
+        np.minimum(v, x_t, out=x)
+        np.maximum(x, neg_x_t, out=x)
+        np.subtract(v, x, out=x)
+        np.multiply(x, 2.0, out=x_bar)
+        x_bar -= x_old
+        if it % GAP_CHECK_EVERY == 0:
+            resid = float(np.abs(Kmat @ x - y).max())
+            primal = float((weights * np.abs(x[:M])).sum())
             gap = primal - dual_value(lam)
-            if resid <= tau * (1.0 + 1e-3) + 1e-9 and gap <= gap_tol:
+            if resid <= tau and gap <= gap_tol:
                 break
 
-    a_true = a / colnorm
+    a_true = x[:M] / colnorm
+    z = x[M:].copy()
     resid = float(np.abs(Phi @ a_true + L @ z - y).max())
-    converged = gap <= gap_tol and resid <= tau * (1.0 + 1e-3) + 1e-9
+    converged = gap <= gap_tol and resid <= tau
     return _result_from_weights(p, a_true, z, Phi, L, gap, it, converged)
 
 

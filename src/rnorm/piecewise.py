@@ -8,7 +8,6 @@ conversion at the very end.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,19 +191,6 @@ class PiecewisePolynomial:
             for a, b in zip(pts, pts[1:]):
                 total += abs(float(poly_eval(anti, b)) - float(poly_eval(anti, a)))
         return total
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "breakpoints": [float(b) for b in self.breakpoints],
-                "pieces": [[float(c) for c in p] for p in self.pieces],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PiecewisePolynomial":
-        obj = json.loads(text)
-        return PiecewisePolynomial(tuple(obj["breakpoints"]), tuple(tuple(p) for p in obj["pieces"]))
 
 
 @dataclass(frozen=True)

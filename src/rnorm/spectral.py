@@ -68,11 +68,6 @@ class RayDecaySample:
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "magnitudes", m)
 
-    def loglog_slope(self) -> float:
-        """Least-squares slope of log|F| against log(sigma)."""
-        mags = np.maximum(self.magnitudes, 1e-300)
-        return float(np.polyfit(np.log(self.sigmas), np.log(mags), 1)[0])
-
     def to_csv(self) -> str:
         lines = ["sigma,magnitude"]
         lines += [f"{s:.17g},{m:.17g}" for s, m in zip(self.sigmas, self.magnitudes)]

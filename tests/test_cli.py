@@ -125,6 +125,21 @@ def test_fit_linear_target_converges(tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+def test_fit_exit_0_means_residual_within_tol(tmp_path, capsys):
+    # a converged fit with a residual in (tol, tol (1 + 1e-3) + 1e-9] would sit
+    # below the LP optimum; this fit lands there unless the loop iterates in
+    # the tube narrowed by the stopping rule's slack
+    from rnorm.fitting import disc_samples
+
+    X = disc_samples(11, 1.0, 34)
+    y = np.maximum(X @ np.array([0.6, 0.8]) - 0.2, 0.0)
+    path = tmp_path / "samples.csv"
+    _write_samples(path, X, y)
+    code, report = _run(capsys, "fit", "--samples", str(path), "--K", "8", "--J", "9", "--tol", "0.1")
+    assert code == EXIT_OK
+    assert report["result"]["residual_max"] <= 0.1
+
+
 def test_fit_writes_refinement_table(tmp_path, capsys):
     rng = np.random.default_rng(1)
     X = rng.uniform(-1.0, 1.0, size=(20, 2))

@@ -192,7 +192,8 @@ class TestSolver:
         assert fit.objective <= 1e-6
         assert np.allclose(fit.v, [1.0, 2.0], atol=1e-3)
         assert fit.c == pytest.approx(0.5, abs=1e-3)
-        assert fit.residual_max <= 1e-3 * 1.001 + 1e-9
+        assert fit.converged and fit.iterations < 5000
+        assert fit.residual_max <= 1e-3
 
     def test_result_net_reproduces_fit(self):
         X = disc_samples(50, 1.2, 5)
@@ -226,6 +227,102 @@ class TestSolver:
         assert a.objective == b.objective
         assert a.iterations == b.iterations
         assert np.array_equal(a.v, b.v)
+
+
+def _reference_fit(p: FitProblem, max_iter: int):
+    """The iteration min_norm_fit runs, one numpy expression per update on the
+    separate blocks Psi diag(1/colnorm), L and (a, z), in the narrowed tube."""
+    from rnorm.fitting import INTERPOLATION_SLACK, _result_from_weights
+
+    Phi, L = build_dictionary(p)
+    y = p.y
+    tau = max(p.tol, INTERPOLATION_SLACK)
+    tau_in = (tau - 1e-9) / (1.0 + 1e-3)
+    gap_tol = 1e-6 * max(float(np.abs(y).max()), 1e-12)
+    colnorm = np.linalg.norm(Phi, axis=0)
+    colnorm[colnorm == 0] = 1.0
+    Phis = Phi / colnorm
+    Kmat = np.concatenate([Phis, L], axis=1)
+    vec = np.random.default_rng(0).standard_normal(Kmat.shape[1])
+    for _ in range(100):
+        vec = Kmat.T @ (Kmat @ vec)
+        vec /= np.linalg.norm(vec)
+    step = 0.99 / max(math.sqrt(float(vec @ (Kmat.T @ (Kmat @ vec)))), 1e-12)
+    Lpinv = np.linalg.pinv(L)
+    a, z, lam = np.zeros(Phis.shape[1]), np.zeros(L.shape[1]), np.zeros(y.size)
+    a_bar, z_bar = a.copy(), z.copy()
+    weights = 1.0 / colnorm
+    gap = math.inf
+    for it in range(1, max_iter + 1):
+        u = lam + step * (Phis @ a_bar + L @ z_bar) - step * y
+        lam = np.sign(u) * np.maximum(np.abs(u) - step * tau_in, 0.0)
+        a_old, z_old = a, z
+        grad_a = Phis.T @ lam
+        a = np.sign(a - step * grad_a) * np.maximum(np.abs(a - step * grad_a) - step * weights, 0.0)
+        z = z - step * (L.T @ lam)
+        a_bar = 2.0 * a - a_old
+        z_bar = 2.0 * z - z_old
+        if it % 250 == 0:
+            resid = float(np.abs(Phis @ a + L @ z - y).max())
+            lam_f = lam - L @ (Lpinv @ lam)
+            lam_f = lam_f / max(float(np.abs(Phi.T @ lam_f).max()), 1.0)
+            gap = float((weights * np.abs(a)).sum()) - float(-y @ lam_f - tau_in * np.abs(lam_f).sum())
+            if resid <= tau_in * (1.0 + 1e-3) + 1e-9 and gap <= gap_tol:
+                break
+    a_true = a / colnorm
+    resid = float(np.abs(Phi @ a_true + L @ z - y).max())
+    converged = gap <= gap_tol and resid <= tau_in * (1.0 + 1e-3) + 1e-9
+    return _result_from_weights(p, a_true, z, Phi, L, gap, it, converged)
+
+
+def _planted_problem(N=100, K=16, J=17):
+    """The benchmark's fit input: three units on the K x J grid, N samples in the disc of radius 3."""
+    X = disc_samples(N, 3.0, 0)
+    p = FitProblem(X, np.zeros(N), K=K, J=J)
+    th = np.arange(K) * 2.0 * math.pi / K
+    offsets = np.linspace(-p.offset_range, p.offset_range, J)
+    y = sum(a * np.maximum(X @ [math.cos(th[k]), math.sin(th[k])] - offsets[j], 0.0)
+            for a, k, j in ((2.0, 1, 9), (-1.0, 5, 7), (0.5, 12, 10)))
+    return FitProblem(X, y, K=K, J=J)
+
+
+def _fused_loop_cases():
+    X = disc_samples(60, 1.5, 3)
+    Xb = disc_samples(30, 1.0, 9)
+    yield _planted_problem(), 2000
+    yield FitProblem(X, X @ np.array([1.0, 2.0]) + 0.5, K=16, J=17, tol=1e-3), 5000
+    yield FitProblem(Xb, np.abs(Xb[:, 0]) + 0.2, K=8, J=9, tol=1e-2, use_linear_unit=False), 3000
+    yield FitProblem(Xb, np.abs(Xb[:, 1] - 0.1), K=8, J=9, tol=0.0), 1000
+
+
+@pytest.mark.parametrize(
+    "p, max_iter", list(_fused_loop_cases()), ids=["planted", "linear", "no-linear-unit", "tol-0"]
+)
+def test_fused_loop_is_the_reference_iteration(p, max_iter):
+    # the fused matvec sums in another order, so the iterates agree to rounding, not bit for bit
+    got = min_norm_fit(p, max_iter=max_iter)
+    ref = _reference_fit(p, max_iter)
+    assert got.iterations == ref.iterations and got.converged == ref.converged
+    for field in ("objective", "c", "residual_max", "duality_gap"):
+        assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-9, abs=1e-12), field
+    assert np.allclose(got.v, ref.v, rtol=1e-9, atol=1e-12)
+    assert len(got.measure) == len(ref.measure)
+
+
+def test_solve_holds_two_copies_of_the_dictionary():
+    import tracemalloc
+
+    p = _planted_problem(N=200, K=128, J=65)
+    psi_bytes = build_dictionary(p)[0].nbytes
+    min_norm_fit(FitProblem(disc_samples(20, 1.0, 0), np.ones(20), K=8, J=9), max_iter=250)  # lazy imports first
+    tracemalloc.start()
+    try:
+        min_norm_fit(p, max_iter=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Psi plus K's left block is about 2.1x; a third copy (Psi / colnorm beside K) reads about 3.1x
+    assert peak <= 2.3 * psi_bytes, (peak, psi_bytes)
 
 
 class TestRefinement:

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -104,13 +103,6 @@ class TestPiecewisePolynomial:
         xs = np.linspace(0.0, 1.0, 1_000_001)
         quad = np.trapezoid(np.abs(-12.0 + 60.0 * xs**2), xs)
         assert p.abs_integral() == pytest.approx(quad, rel=1e-8)
-
-    def test_json_round_trip(self):
-        p = PiecewisePolynomial((-1, 0, 2), ((1, 2), (0, 0, 3)))
-        q = PiecewisePolynomial.from_json(p.to_json())
-        xs = np.linspace(-2, 3, 101)
-        assert np.allclose(p(xs), q(xs), atol=0)
-        assert json.loads(p.to_json()) == json.loads(q.to_json())
 
 
 class TestDistributionalCalculus:

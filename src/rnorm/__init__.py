@@ -25,24 +25,21 @@ from .radon import (
     dual_radon_2d,
     fbp_inverse_2d,
     grid_radon_2d,
+    offset_power_derivative,
     radial_radon_profile,
 )
 from .spectral import (
     PwlCurvatureMeasure2D,
     RayDecaySample,
     frac_laplacian_2d,
-    grid_fourier_ray,
-    offset_power_derivative,
     pwl_fourier_ray,
 )
 from .engine import (
     AtomicMeasure,
     FiniteReluNet,
-    RbarBounds,
     RNormReport,
     even_part,
     grad_at_infinity,
-    grad_at_infinity_estimate,
     laplacian_lower_bound,
     rbar_bounds,
     rnorm_finite_net,
@@ -83,7 +80,6 @@ __all__ = [
     "RNormReport",
     "RadialFunction",
     "RayDecaySample",
-    "RbarBounds",
     "Sinogram",
     "UnsupportedDimensionError",
     "bump_finiteness_sweep",
@@ -95,8 +91,6 @@ __all__ = [
     "fbp_inverse_2d",
     "frac_laplacian_2d",
     "grad_at_infinity",
-    "grad_at_infinity_estimate",
-    "grid_fourier_ray",
     "grid_radon_2d",
     "laplacian_lower_bound",
     "lp_oracle",

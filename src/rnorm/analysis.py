@@ -188,7 +188,6 @@ def rbar_gap_demo(seed: int = 0) -> dict:
     )
     rnorm = rnorm_finite_net(net).value
     g = grad_at_infinity(net)
-    bounds = rbar_bounds(rnorm, g)
 
     X = disc_samples(200, 2.0, seed)
     y = np.abs(X[:, 0]) + X[:, 1]
@@ -201,7 +200,7 @@ def rbar_gap_demo(seed: int = 0) -> dict:
     return {
         "rnorm": rnorm,
         "grad_at_infinity": list(map(float, g)),
-        "bracket": [bounds.lower, bounds.upper],
+        "bracket": list(rbar_bounds(rnorm, g)),
         "fit_with_linear_unit": fits["with_linear_unit"].objective,
         "fit_without_linear_unit": fits["without_linear_unit"].objective,
         "fits": {k: v.to_dict() for k, v in fits.items()},

@@ -82,33 +82,16 @@ class RNormReport:
         }
 
 
-@dataclass(frozen=True)
-class RbarBounds:
-    """Theorem-2 sandwich for the no-linear-unit representational cost."""
-
-    rnorm: float
-    grad_inf: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grad_inf, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient at infinity must be finite")
-        g.setflags(write=False)
-        object.__setattr__(self, "grad_inf", g)
-
-    @property
-    def lower(self) -> float:
-        return max(self.rnorm, 2.0 * float(np.linalg.norm(self.grad_inf)))
-
-    @property
-    def upper(self) -> float:
-        return self.rnorm + 2.0 * float(np.linalg.norm(self.grad_inf))
-
-
-def rbar_bounds(rnorm: float, grad_inf) -> RbarBounds:
+def rbar_bounds(rnorm: float, grad_inf) -> tuple[float, float]:
+    """Theorem-2 sandwich (lower, upper) for the no-linear-unit representational cost:
+    max(R, 2|g|) <= Rbar <= R + 2|g| for R-norm R and gradient at infinity g."""
     if math.isinf(rnorm):
         raise ValueError("bounds require a finite R-norm")
-    return RbarBounds(rnorm=float(rnorm), grad_inf=np.asarray(grad_inf, dtype=float))
+    g = np.asarray(grad_inf, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient at infinity must be finite")
+    twice_grad = 2.0 * float(np.linalg.norm(g))
+    return max(float(rnorm), twice_grad), float(rnorm) + twice_grad
 
 
 def _merge_labels(keys: np.ndarray) -> np.ndarray:
@@ -236,12 +219,12 @@ def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
 def rnorm_grid_2d(f: GridFunction2D, K: int = 256, J: int = 513) -> RNormReport:
     """Numerical d=2 R-norm: gamma_2 ||R{(-Delta)^(3/2) f}||_1 on the sinogram grid.
 
-    The error estimate is the change at half the sinogram resolution; the
-    report carries the full-resolution sinogram. Each resolution computes its
-    own (-Delta)^(3/2) f (0.03 s at 512^2): the per-layer benchmark's own test
-    still counts two fractional-Laplacian calls per grid op. No SciPy is
-    loaded; the sinogram's memory is bounded per thread, whatever K and J
-    (the default 256 x 513 on 512^2: about 1.7 s and 70 MB peak on a 2-vCPU host).
+    The error estimate is the change at half the sinogram resolution, floored at
+    32 x 65; the warning error-estimate-partial marks a K or J the floor keeps.
+    The report carries the full-resolution sinogram. Each resolution computes
+    its own (-Delta)^(3/2) f: the per-layer benchmark's own test counts two
+    fractional-Laplacian calls per grid op. No SciPy is loaded; the sinogram's
+    memory is bounded per thread, whatever K and J.
     """
     gamma_2 = constants(2).gamma_d
 
@@ -251,7 +234,10 @@ def rnorm_grid_2d(f: GridFunction2D, K: int = 256, J: int = 513) -> RNormReport:
 
     sino, warns = sinogram(K, J)
     value = gamma_2 * sino.l1()
-    coarse = gamma_2 * sinogram(max(32, K // 2), max(65, (J - 1) // 2 + 1))[0].l1()
+    Kc, Jc = max(32, K // 2), max(65, (J - 1) // 2 + 1)
+    if Kc >= K or Jc >= J:
+        warns += ("error-estimate-partial",)
+    coarse = gamma_2 * sinogram(Kc, Jc)[0].l1()
     return RNormReport(
         value=value,
         method="grid-2d",
@@ -293,33 +279,3 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
 def grad_at_infinity(net: FiniteReluNet) -> np.ndarray:
     """Sphere-averaged gradient at infinite radius: (1/2) sum a_i w_i + v."""
     return net.v + 0.5 * (net.a @ net.W)
-
-
-def grad_at_infinity_estimate(func) -> tuple[np.ndarray, bool]:
-    """Sampled-circle estimator of the gradient at infinity for a callable on R^2.
-
-    Averages a central-difference gradient over 720 circle points at radii
-    10, 20 and 40 and Richardson-extrapolates linearly in 1/r.  Returns
-    (estimate, converged); converged is False when the per-radius averages
-    vary by more than 5%.
-    """
-    radii, n_points = (10.0, 20.0, 40.0), 720
-    thetas = np.arange(n_points) * 2.0 * math.pi / n_points
-    per_radius = []
-    for r in radii:
-        eps = 1e-5 * r
-        pts = r * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        grad = np.zeros((n_points, 2))
-        for axis in range(2):
-            shift = np.zeros(2)
-            shift[axis] = eps
-            grad[:, axis] = (func(pts + shift) - func(pts - shift)) / (2.0 * eps)
-        per_radius.append(grad.mean(axis=0))
-    per_radius = np.array(per_radius)
-    # linear fit in 1/r, intercept = limit
-    A = np.stack([np.ones(len(radii)), 1.0 / np.asarray(radii)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, per_radius, rcond=None)
-    estimate = coef[0]
-    scale = max(float(np.linalg.norm(estimate)), 1e-12)
-    converged = bool(np.max(np.linalg.norm(per_radius - estimate, axis=1)) <= 0.05 * scale + 1e-9)
-    return estimate, converged

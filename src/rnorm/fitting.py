@@ -7,8 +7,8 @@ The primary solver is a Chambolle-Pock primal-dual iteration on
 with the linear unit and bias collected in the unpenalized block L z.  The
 loop runs on one operator [Phi diag(1/colnorm) | L] and one vector (a, z),
 in a tube narrowed by the stopping rule's slack, so a converged fit has
-every |residual| <= tol (<= 1e-8 at tol 0).  An independent exact LP oracle
-(scipy HiGHS) backs the same discretization for cross-checking.
+every |residual| <= tol (<= 1e-8 at tol 0).  An exact LP oracle (scipy HiGHS)
+solves the same program in equality form, with one slack in [-tau, tau] per sample.
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ def min_norm_fit(
 def lp_oracle(p: FitProblem) -> float:
     """Exact LP value of the same discretized program (independent of the solver).
 
-    Split form: min sum(a+ + a-) subject to |Psi (a+ - a-) + L z - y| <= tau
-    componentwise, solved by HiGHS.
+    Equality form, solved by HiGHS: min sum(a+ + a-) subject to
+    Psi (a+ - a-) + L z - s = y with a+, a- >= 0, z free and s in [-tau, tau].
     """
     from scipy.optimize import linprog
 
@@ -269,13 +269,11 @@ def lp_oracle(p: FitProblem) -> float:
     tau = max(p.tol, INTERPOLATION_SLACK)
     N, M = Phi.shape
     nz = L.shape[1]
-    cost = np.concatenate([np.ones(2 * M), np.zeros(nz)])
-    block = np.concatenate([Phi, -Phi, L], axis=1)
-    A_ub = np.concatenate([block, -block], axis=0)
-    del block
-    b_ub = np.concatenate([p.y + tau, tau - p.y])
-    bounds = [(0, None)] * (2 * M) + [(None, None)] * nz
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    cost = np.concatenate([np.ones(2 * M), np.zeros(nz + N)])
+    A_eq = np.concatenate([Phi, -Phi, L, -np.eye(N)], axis=1)
+    del Phi
+    bounds = [(0, None)] * (2 * M) + [(None, None)] * nz + [(-tau, tau)] * N
+    res = linprog(cost, A_eq=A_eq, b_eq=p.y, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"LP oracle failed: {res.message}")
     return float(res.fun)

@@ -64,9 +64,6 @@ class GridFunction2D:
     def integral(self) -> float:
         return float(self.values.sum()) * self.h**2
 
-    def with_warnings(self, *names: str) -> "GridFunction2D":
-        return GridFunction2D(self.values, self.h, self.warnings + names)
-
     def boundary_leakage(self) -> float:
         """Largest boundary-ring magnitude relative to the grid max."""
         v = self.values

@@ -1,4 +1,4 @@
-"""Radon transform: analytic radial profiles, 2-D grid sinograms, dual transform, FBP."""
+"""Radon transform: analytic radial profiles, 2-D grid sinograms, the offset multiplier, dual transform, FBP."""
 
 from __future__ import annotations
 
@@ -280,6 +280,22 @@ def grid_radon_2d(f: GridFunction2D, K: int, J: int) -> Sinogram:
     return Sinogram(angles, offsets, values)
 
 
+def offset_power_derivative(sin: Sinogram, order: int) -> Sinogram:
+    """Apply the |xi|^order multiplier (angular frequency) per angle in the offset variable.
+
+    Even orders reproduce (-d^2/db^2)^(order/2); odd orders are the Hilbert
+    transform composition, all through the single |xi|^order formula.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    J = sin.J
+    pad = 2 * J
+    mult = (2.0 * math.pi * np.fft.rfftfreq(pad, d=sin.db)) ** order
+    mult[0] = 0.0
+    out = np.fft.irfft(np.fft.rfft(sin.values, n=pad, axis=1) * mult, n=pad, axis=1)[:, :J]
+    return Sinogram(sin.angles, sin.offsets, out)
+
+
 def dual_radon_2d(s: Sinogram, n: int, h: float) -> GridFunction2D:
     """Dual Radon transform onto an n x n centered grid with spacing h.
 
@@ -298,16 +314,11 @@ def dual_radon_2d(s: Sinogram, n: int, h: float) -> GridFunction2D:
             clamped = True
         out += np.interp(b.ravel(), s.offsets, s.values[k], left=0.0, right=0.0).reshape(n, n)
     out *= 2.0 * math.pi / s.K
-    grid = GridFunction2D(out, h)
-    if clamped:
-        grid = grid.with_warnings("offset-clamped-to-zero")
-    return grid
+    return GridFunction2D(out, h, ("offset-clamped-to-zero",) if clamped else ())
 
 
 def fbp_inverse_2d(s: Sinogram, n: int, h: float) -> GridFunction2D:
     """Filtered backprojection (d=2) onto an n x n grid of spacing h: |sigma| filter, dual, gamma_2 scale."""
-    from .spectral import offset_power_derivative
-
     filtered = offset_power_derivative(s, 1)
     grid = dual_radon_2d(filtered, n, h)
     gamma_2 = constants(2).gamma_d

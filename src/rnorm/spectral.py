@@ -1,8 +1,7 @@
-"""Fourier-multiplier operators and Fourier ray-decay probes.
+"""The fractional-Laplacian Fourier multiplier and Fourier ray-decay probes.
 
-Differential multipliers (fractional Laplacian, offset-power derivatives) act
-in angular frequency, so |xi|^2 reproduces -d^2/db^2 exactly.  The ray probes
-evaluate f-hat in the ordinary-frequency convention
+The multiplier acts in angular frequency, so |xi|^2 reproduces -Delta
+exactly.  The ray probe evaluates f-hat in the ordinary-frequency convention
 f^(xi) = int f(x) exp(-i 2 pi xi.x) dx, matching the segment closed forms.
 """
 
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridFunction2D
-from .radon import Sinogram
 
 LEAKAGE_THRESHOLD = 1e-6
 
@@ -100,22 +98,6 @@ def frac_laplacian_2d(f: GridFunction2D, s: float) -> GridFunction2D:
     return GridFunction2D(out, f.h, f.warnings + warn)
 
 
-def offset_power_derivative(sin: Sinogram, order: int) -> Sinogram:
-    """Apply the |xi|^order multiplier per angle in the offset variable.
-
-    Even orders reproduce (-d^2/db^2)^(order/2); odd orders are the Hilbert
-    transform composition, all through the single |xi|^order formula.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    J = sin.J
-    pad = 2 * J
-    mult = (2.0 * math.pi * np.fft.rfftfreq(pad, d=sin.db)) ** order
-    mult[0] = 0.0
-    out = np.fft.irfft(np.fft.rfft(sin.values, n=pad, axis=1) * mult, n=pad, axis=1)[:, :J]
-    return Sinogram(sin.angles, sin.offsets, out)
-
-
 def _sinc(z: np.ndarray) -> np.ndarray:
     """sin(z)/z with a series fallback near zero to avoid cancellation."""
     z = np.asarray(z, dtype=float)
@@ -143,16 +125,3 @@ def pwl_fourier_ray(mu: PwlCurvatureMeasure2D, w, sigmas) -> RayDecaySample:
         phase = np.exp(-1j * 2.0 * math.pi * sig * float(w @ mid))
         total += c * L * phase * _sinc(2.0 * math.pi * sig * float(w @ u))
     return RayDecaySample(w, sig, np.abs(total))
-
-
-def grid_fourier_ray(f: GridFunction2D, w, sigmas) -> RayDecaySample:
-    """|f-hat(sigma w)| by direct nonuniform summation over the grid samples."""
-    w = np.asarray(w, dtype=float)
-    sig = np.asarray(sigmas, dtype=float)
-    X, Y = f.meshgrid()
-    t = (w[0] * X + w[1] * Y).ravel()
-    v = f.values.ravel()
-    mags = np.empty(sig.size)
-    for i, s in enumerate(sig):
-        mags[i] = abs(np.sum(v * np.exp(-1j * 2.0 * math.pi * s * t))) * f.h**2
-    return RayDecaySample(w, sig, mags)

@@ -76,3 +76,18 @@ def test_third_party_imports_are_the_declared_dependencies():
     block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
     declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)))
     assert third_party == declared == {"numpy", "scipy"}
+
+
+def test_every_export_is_used_by_the_package_or_a_criterion():
+    # a public name earns its place when a module of the package or an acceptance criterion uses it
+    paths = [p for p in (ROOT / "src" / "rnorm").glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in paths + [ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    import rnorm
+
+    assert sorted(set(rnorm.__all__) - used) == []

@@ -10,7 +10,6 @@ from rnorm import (
     RNormReport,
     bump_poly,
     grad_at_infinity,
-    grad_at_infinity_estimate,
     laplacian_lower_bound,
     rbar_bounds,
     rnorm_finite_net,
@@ -146,41 +145,29 @@ class TestRadial:
 
 class TestBounds:
     def test_sandwich_from_gap_example(self):
-        b = rbar_bounds(2.0, np.array([0.0, 1.0]))
-        assert b.lower == pytest.approx(2.0)
-        assert b.upper == pytest.approx(4.0)
+        lower, upper = rbar_bounds(2.0, np.array([0.0, 1.0]))
+        assert lower == pytest.approx(2.0)
+        assert upper == pytest.approx(4.0)
 
     def test_tight_when_gradient_vanishes(self):
-        b = rbar_bounds(5.0, np.zeros(2))
-        assert b.lower == b.upper == 5.0
+        assert rbar_bounds(5.0, np.zeros(2)) == (5.0, 5.0)
 
     def test_large_gradient_raises_lower_bound(self):
-        b = rbar_bounds(1.0, np.array([3.0, 4.0]))
-        assert b.lower == pytest.approx(10.0)
-        assert b.upper == pytest.approx(11.0)
+        lower, upper = rbar_bounds(1.0, np.array([3.0, 4.0]))
+        assert lower == pytest.approx(10.0)
+        assert upper == pytest.approx(11.0)
 
     def test_infinite_norm_rejected(self):
         with pytest.raises(ValueError):
             rbar_bounds(math.inf, np.zeros(2))
+        with pytest.raises(ValueError):
+            rbar_bounds(1.0, np.array([math.nan, 0.0]))
 
 
 class TestGradientAtInfinity:
     def test_finite_net_closed_form(self):
         net = FiniteReluNet(2, ((1.0, E1, 0.0), (1.0, -E1, 0.0)), v=E2)
         assert np.allclose(grad_at_infinity(net), [0.0, 1.0], atol=1e-15)
-
-    def test_sampled_estimator_on_callable(self):
-        func = lambda X: np.abs(X[:, 0]) + X[:, 1]
-        est, converged = grad_at_infinity_estimate(func)
-        assert converged
-        assert np.allclose(est, [0.0, 1.0], atol=1e-2)
-
-    def test_sampled_estimator_on_compact_function(self):
-        from rnorm import pyramid_pwl
-
-        est, converged = grad_at_infinity_estimate(lambda X: pyramid_pwl(X[:, 0], X[:, 1]))
-        assert converged
-        assert np.linalg.norm(est) <= 1e-6
 
 
 class TestLaplacianBound:
@@ -212,3 +199,12 @@ class TestLaplacianBound:
     def test_bounds_bracket_grid_value(self, gaussian_256):
         rep = rnorm_grid_2d(gaussian_256, K=64, J=129)
         assert laplacian_lower_bound(gaussian_256) <= rep.value <= sobolev_upper_bound_2d(gaussian_256)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("K, J, partial", [(32, 65, True), (64, 65, True), (64, 129, False)])
+    def test_error_estimate_partial_where_the_coarse_level_cannot_coarsen(self, K, J, partial):
+        # the coarse level is floored at 32 x 65: at K=32 it keeps the angles, at J=65 the offsets
+        f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), 128, 8.0)
+        rep = rnorm_grid_2d(f, K=K, J=J)
+        assert ("error-estimate-partial" in rep.diagnostics["warnings"]) == partial

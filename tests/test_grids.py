@@ -157,7 +157,3 @@ def test_values_are_read_only():
     with pytest.raises(ValueError):
         f.values[0, 0] = 5.0
 
-
-def test_with_warnings_accumulates():
-    f = sample_grid(lambda X, Y: X, 16, 1.0).with_warnings("a").with_warnings("b")
-    assert f.warnings == ("a", "b")

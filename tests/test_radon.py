@@ -23,6 +23,8 @@ import rnorm.radon
 from rnorm.grids import write_table_csv
 from rnorm.radon import OFFSET_MARGIN, UnsupportedDimensionError, _line_integral_batch
 
+from oracles import grid_fourier_ray
+
 
 @pytest.fixture(scope="module")
 def gauss():
@@ -122,8 +124,6 @@ class TestGridRadon:
 
     def test_fourier_slice(self, gauss, gauss_sino):
         # 1-D transform of a sinogram row equals the 2-D transform on the ray.
-        from rnorm import grid_fourier_ray
-
         k = 10
         th = gauss_sino.angles[k]
         w = np.array([math.cos(th), math.sin(th)])

@@ -7,12 +7,13 @@ from rnorm import (
     PwlCurvatureMeasure2D,
     RayDecaySample,
     frac_laplacian_2d,
-    grid_fourier_ray,
     grid_radon_2d,
     offset_power_derivative,
     pwl_fourier_ray,
     sample_grid,
 )
+
+from oracles import grid_fourier_ray
 
 
 @pytest.fixture(scope="module")

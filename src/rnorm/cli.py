@@ -72,7 +72,7 @@ def _report(config: dict, payload: dict, d: int = 2) -> dict:
 
 
 def _dump(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(report: dict, out_dir: str | None, extras: dict | None = None) -> None:
@@ -124,6 +124,8 @@ def cmd_radial(args) -> int:
     payload = rep.to_dict()
     if not rep.is_infinite and args.epsilon != 1.0:
         payload["value"] = rep.value / args.epsilon
+        if not math.isfinite(payload["value"]):
+            raise ValueError(f"--epsilon {args.epsilon} overflows the dilated value")
         if rep.error_estimate is not None:
             payload["error_estimate"] = rep.error_estimate / args.epsilon
     _emit(_report(config, payload, d=args.d), args.out)

@@ -11,7 +11,7 @@ from .constants import constants
 from .grids import GridFunction2D
 from .piecewise import (
     DistributionalProfile, _poly_real_roots, poly_add, poly_derivative, poly_eval, poly_mul,
-    profile_derivative, profile_l1,
+    poly_scale, profile_derivative, profile_l1,
 )
 from .radon import (
     RadialFunction,
@@ -38,12 +38,14 @@ class FiniteReluNet:
         if any(np.shape(w) != (d,) for _, w, _ in units):
             raise ValueError("unit direction has wrong dimension")
         W = np.array([w for _, w, _ in units], dtype=float).reshape(len(units), d)
-        if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > UNIT_NORM_TOL):
-            raise ValueError("unit directions must have norm 1 (to 1e-12)")
         self.d, self.c, self.W = d, c, W
         self.a = np.array([a for a, _, _ in units], dtype=float)
         self.b = np.array([b for _, _, b in units], dtype=float)
         self.v = np.zeros(d) if v is None else np.array(v, dtype=float)
+        if not all(np.isfinite(arr).all() for arr in (self.a, W, self.b, self.v, c)):
+            raise ValueError("net weights, directions, offsets and linear part must be finite")
+        if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > UNIT_NORM_TOL):
+            raise ValueError("unit directions must have norm 1 (to 1e-12)")
         for arr in (self.a, self.W, self.b, self.v):
             arr.setflags(write=False)
 
@@ -255,25 +257,32 @@ def sobolev_upper_bound_2d(f: GridFunction2D) -> float:
 
 
 def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
-    """Lower bound ||Delta f||_inf; radial closed form or grid s=2 multiplier.
-    A radial cone at the origin (g'(0) != 0) gives inf, the zero profile 0."""
+    """Lower bound ||Delta f||_inf: the grid s=2 multiplier's max, or a radial f's exact max.
+
+    On a profile piece [lo, hi], Delta f = N/r with N = r g'' + (d-1) g' is extreme at lo, hi
+    and the roots of r N' - N; at r = 0 it is N'(0) = d g''(0), and a cone (g'(0) != 0) is inf.
+    The exp bump's Delta f = g P/(1-r^2)^4 is extreme at 0 and at the roots of D in (0, 1)."""
     if isinstance(f, GridFunction2D):
         return float(np.abs(frac_laplacian_2d(f, 2.0).values).max())
     d = f.d
     if f.kind == "exp-bump":
         _, q1, q2 = _exp_bump_factors(2)
-        g1, g2 = _exp_bump_term(q1, 2), _exp_bump_term(q2, 4)
-        rs = np.linspace(1e-6, 1.0 - 1e-9, 20001)
-    else:
-        if f.g.is_zero:
-            return 0.0
-        g1 = f.g.derivative_pieces()
-        if f.g.breakpoints[0] == 0 and g1.eval_exact(0) != 0:
+        u2 = (1, 0, -2, 0, 1)  # (1-r^2)^2
+        P = poly_add(q2, poly_scale(u2, -2 * (d - 1)))
+        # (g P/(1-r^2)^4)' = g D/(1-r^2)^6
+        D = poly_add(poly_mul(poly_add(q1, (0, 8, 0, -8)), P), poly_mul(u2, poly_derivative(P)))
+        term = _exp_bump_term(P, 4)
+        return max(abs(float(term(r))) for r in [0.0] + _poly_real_roots(D, 0.0, 1.0))
+    best = 0
+    for lo, hi, piece in zip(f.g.breakpoints, f.g.breakpoints[1:], f.g.pieces):
+        g1 = poly_derivative(piece)
+        N = poly_add(poly_mul((0, 1), poly_derivative(g1)), poly_scale(g1, d - 1))
+        if lo == 0 and poly_eval(N, 0) != 0:
             return math.inf  # (d-1) g'(r)/r is unbounded as r -> 0
-        g2 = g1.derivative_pieces()
-        rs = np.linspace(f.support_radius * 1e-9, f.support_radius, 20001)[1:]
-    vals = np.abs(g2(rs) + (d - 1) * g1(rs) / rs)
-    return float(max(float(vals.max()), abs(d * g2(0.0))))
+        roots = _poly_real_roots(tuple((j - 1) * c for j, c in enumerate(N)), float(lo), float(hi))
+        for r in [lo, hi] + roots:
+            best = max(best, abs(poly_eval(N, r) / r if r else poly_eval(N[1:], 0)))
+    return float(best)
 
 
 def grad_at_infinity(net: FiniteReluNet) -> np.ndarray:

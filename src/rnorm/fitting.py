@@ -19,20 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import AtomicMeasure, FiniteReluNet, even_part
-from .radon import UnsupportedDimensionError
+from .radon import MAX_ARRAY_ENTRIES, UnsupportedDimensionError
 
 DEFAULT_MAX_ITER = 50_000
 GAP_CHECK_EVERY = 250
 INTERPOLATION_SLACK = 1e-8
-# entries of the N x (K/2 J) dictionary Psi: 256 MiB per float64 copy
-MAX_DICTIONARY_ENTRIES = 2**25
 
 
 def check_dictionary_size(N: int, K: int, J: int) -> None:
     """Raise ValueError when Psi for N samples, K angles (full circle) and J offsets is too large."""
-    if N * (K // 2) * J > MAX_DICTIONARY_ENTRIES:
+    if N * (K // 2) * J > MAX_ARRAY_ENTRIES:
         raise ValueError(
-            f"dictionary of {N} samples x {K // 2}x{J} atoms exceeds {MAX_DICTIONARY_ENTRIES} entries"
+            f"dictionary of {N} samples x {K // 2}x{J} atoms exceeds {MAX_ARRAY_ENTRIES} entries"
         )
 
 
@@ -64,6 +62,8 @@ class FitProblem:
             raise ValueError("need one target per sample point")
         if X.shape[1] != 2:
             raise UnsupportedDimensionError(f"atom dictionaries are implemented for d=2, got d={X.shape[1]}")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("samples and targets must be finite")
         if self.K < 2 or self.K % 2 or self.J < 2:
             raise ValueError(f"atom grid needs an even K >= 2 and J >= 2 offsets, got K={self.K}, J={self.J}")
         check_dictionary_size(X.shape[0], self.K, self.J)

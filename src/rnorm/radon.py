@@ -28,6 +28,8 @@ class UnsupportedDimensionError(ValueError):
 
 
 OFFSET_MARGIN = 1.05
+# entries of the largest float64 array a command builds, a sinogram or a fit dictionary: 256 MiB
+MAX_ARRAY_ENTRIES = 2**25
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class Sinogram:
 
     Angles are theta_k = k*pi/K; the other half circle is implied by the
     evenness identification psi(-w, -b) = psi(w, b).  Construction rejects
-    fewer than 2 offsets, non-uniform offsets and angles other than k*pi/K.
+    non-finite data, fewer than 2 offsets, non-uniform offsets and angles other than k*pi/K.
     """
 
     angles: np.ndarray
@@ -49,6 +51,8 @@ class Sinogram:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (a.size, b.size):
             raise ValueError("sinogram values must be angles x offsets")
+        if not all(np.isfinite(arr).all() for arr in (a, b, v)):
+            raise ValueError("sinogram angles, offsets and values must be finite")
         uniform_step(b, "sinogram offsets")
         if a.size == 0 or np.abs(a * a.size / math.pi - np.arange(a.size)).max() > AXIS_TOL:
             raise ValueError(f"sinogram angles are not k*pi/K for K={a.size}")
@@ -85,11 +89,12 @@ class Sinogram:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Radially symmetric function f(x) = g(||x||) in dimension d.
+    """Radially symmetric function f(x) = g(||x||) in dimension d, held as its profile g.
 
     The profile is either a compactly supported piecewise polynomial on
     [0, R], or the designated smooth bump exp(-1/(1-r^2)) on [0, 1]
-    (kind="exp-bump").
+    (kind="exp-bump"). It is never sampled: the engine reads the exact
+    polynomial pieces, or the bump's derivative recurrence.
     """
 
     d: int
@@ -104,25 +109,6 @@ class RadialFunction:
                 raise ValueError("a polynomial radial profile needs its piecewise polynomial g")
             if self.g.breakpoints and float(self.g.breakpoints[0]) < 0:
                 raise ValueError("radial profile domain starts at r >= 0")
-
-    @property
-    def support_radius(self) -> float:
-        if self.kind == "exp-bump":
-            return 1.0
-        return float(self.g.breakpoints[-1]) if self.g.breakpoints else 0.0
-
-    def profile_values(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "exp-bump":
-            out = np.zeros_like(r)
-            inside = np.abs(r) < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-            return out
-        return self.g(np.abs(r))
-
-    def __call__(self, *coords):
-        r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-        return self.profile_values(r)
 
 
 def bump_poly(k: int, dilation=1) -> PiecewisePolynomial:
@@ -240,11 +226,13 @@ def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, t
 
 
 def check_sinogram_size(K: int, J: int) -> None:
-    """Raise ValueError unless a grid sinogram has at least 32 angles and 64 offsets."""
+    """Raise ValueError unless a grid sinogram has >= 32 angles, >= 64 offsets and <= MAX_ARRAY_ENTRIES values."""
     if K < 32:
         raise ValueError(f"need at least 32 angles, got {K}")
     if J < 64:
         raise ValueError(f"need at least 64 offsets, got {J}")
+    if K * J > MAX_ARRAY_ENTRIES:
+        raise ValueError(f"sinogram of {K}x{J} values exceeds {MAX_ARRAY_ENTRIES} entries")
 
 
 def grid_radon_2d(f: GridFunction2D, K: int, J: int) -> Sinogram:

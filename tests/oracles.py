@@ -18,3 +18,27 @@ def grid_fourier_ray(f: GridFunction2D, w, sigmas) -> RayDecaySample:
     for i, s in enumerate(sig):
         mags[i] = abs(np.sum(v * np.exp(-1j * 2.0 * math.pi * s * t))) * f.h**2
     return RayDecaySample(w, sig, mags)
+
+
+def exp_bump_laplacian(r, d: int):
+    """Delta f at radius r in (0, 1) for f(x) = exp(-1/(1-|x|^2)) in dimension d, in closed form:
+    g'' + (d-1) g'/r = g (4r^2/u^4 - 8r^2/u^3 - 2d/u^2) with u = 1 - r^2."""
+    r = np.asarray(r, dtype=float)
+    u = 1.0 - r * r
+    return np.exp(-1.0 / u) * (4.0 * r * r / u**4 - 8.0 * r * r / u**3 - 2.0 * d / u**2)
+
+
+def exp_bump_laplacian_max(d: int) -> float:
+    """max |Delta f| over [0, 1) for the exp bump: a 1000-cell scan, then a bounded scalar
+    maximization on the two cells around the best scan point."""
+    from scipy.optimize import minimize_scalar
+
+    rs = np.linspace(0.0, 1.0, 1001)[:-1]
+    i = int(np.argmax(np.abs(exp_bump_laplacian(rs, d))))
+    res = minimize_scalar(
+        lambda r: -abs(float(exp_bump_laplacian(r, d))),
+        bounds=(rs[max(i - 1, 0)], rs[min(i + 1, rs.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-14},
+    )
+    return max(-float(res.fun), float(abs(exp_bump_laplacian(rs[i], d))))

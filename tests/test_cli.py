@@ -19,10 +19,14 @@ from rnorm import Sinogram, constants, sample_grid
 from rnorm.cli import EXIT_DIMENSION, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
 
 
+def _reject_constant(name):
+    raise ValueError(f"report carries {name}, which is not JSON")
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    report = json.loads(out) if out.strip() else None
+    report = json.loads(out, parse_constant=_reject_constant) if out.strip() else None
     return code, report
 
 
@@ -95,9 +99,11 @@ def _run_failing(capsys, *argv):
     return code
 
 
-@pytest.mark.parametrize("flags", [("--K", "16"), ("--K", "31"), ("--J", "63")])
+@pytest.mark.parametrize(
+    "flags", [("--K", "16"), ("--K", "31"), ("--J", "63"), ("--K", "3000000", "--J", "3000000"), ("--J", "131073")]
+)
 def test_grid_too_small_sinogram_exits_2_before_reading(flags, capsys):
-    # the input does not exist: the size check comes first
+    # the input does not exist: the size check comes first; K*J above 2**25 is too large
     assert _run_failing(capsys, "grid", "--input", "/nonexistent/grid.csv", *flags) == EXIT_USAGE
 
 
@@ -291,6 +297,9 @@ def _diagnose_argv(tmp_path, doc):
         (lambda t: _fit_argv(t, "--K", "100000", "--J", "100000"), EXIT_USAGE),
         (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "nan"], EXIT_USAGE),
         (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "inf"], EXIT_USAGE),
+        # value/epsilon, the dilated value, overflows to inf
+        (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "1e-320"], EXIT_USAGE),
+        (lambda t: ["radial", "--d", "3", "--profile", "exp-bump", "--epsilon", "1e-320"], EXIT_USAGE),
         (lambda t: _diagnose_argv(t, [1, 2]), EXIT_IO),
         (lambda t: _diagnose_argv(t, {"segments": 5, "normals": [[1.0, 0.0]]}), EXIT_IO),
         (lambda t: _diagnose_argv(t, {"segments": [_SEGMENT], "normals": [[1.0, 0.0, 0.0]]}), EXIT_IO),
@@ -301,7 +310,8 @@ def _diagnose_argv(tmp_path, doc):
     ids=[
         "fit-tol-negative", "fit-tol-nan", "fit-levels-1", "fit-levels-negative", "fit-K-0", "fit-K-odd",
         "fit-levels-40", "fit-dictionary-too-large",
-        "radial-epsilon-nan", "radial-epsilon-inf", "diagnose-list", "diagnose-segments-int",
+        "radial-epsilon-nan", "radial-epsilon-inf", "radial-epsilon-overflow", "radial-exp-bump-epsilon-overflow",
+        "diagnose-list", "diagnose-segments-int",
         "diagnose-3d-normal", "diagnose-zero-normal", "out-below-a-file",
     ],
 )

@@ -134,6 +134,10 @@ class TestFitProblem:
                 FitProblem(X, np.zeros(3), **bad)
         with pytest.raises(ValueError):
             FitProblem(np.ones((3, 2)), np.zeros(3), offset_range=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            FitProblem(np.array([[0.0, 0.0], [math.nan, 0.5], [0.5, 0.0]]), np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            FitProblem(X, np.array([0.0, math.inf, 0.0]))
 
     def test_default_offset_range_covers_hull(self):
         X = 2.0 * np.eye(2)

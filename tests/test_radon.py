@@ -345,6 +345,16 @@ class TestDualAndInverse:
             Sinogram(angles, offsets, np.ones((angles.size, offsets.size)))
         assert "\n" not in str(info.value)
 
+    def test_sinogram_rejects_non_finite_data(self):
+        angles, offsets = np.arange(32) * math.pi / 32, np.linspace(-1.0, 1.0, 65)
+        for bad in (math.nan, math.inf):
+            values = np.ones((32, 65))
+            values[3, 7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Sinogram(angles, offsets, values)
+        with pytest.raises(ValueError, match="finite"):
+            Sinogram(np.where(angles == angles[5], math.nan, angles), offsets, np.ones((32, 65)))
+
     def test_sinogram_csv_text_peaks_below_two_and_a_half_times_its_size(self):
         import tracemalloc
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import constants
-from .grids import GridFunction2D
+from .grids import GridFunction2D, finite_copy
 from .piecewise import (
     DistributionalProfile, _poly_real_roots, poly_add, poly_derivative, poly_eval, poly_mul,
     poly_scale, profile_derivative, profile_l1,
@@ -37,17 +37,15 @@ class FiniteReluNet:
         units = tuple(units)
         if any(np.shape(w) != (d,) for _, w, _ in units):
             raise ValueError("unit direction has wrong dimension")
-        W = np.array([w for _, w, _ in units], dtype=float).reshape(len(units), d)
-        self.d, self.c, self.W = d, c, W
-        self.a = np.array([a for a, _, _ in units], dtype=float)
-        self.b = np.array([b for _, _, b in units], dtype=float)
-        self.v = np.zeros(d) if v is None else np.array(v, dtype=float)
-        if not all(np.isfinite(arr).all() for arr in (self.a, W, self.b, self.v, c)):
-            raise ValueError("net weights, directions, offsets and linear part must be finite")
-        if np.any(np.abs(np.linalg.norm(W, axis=1) - 1.0) > UNIT_NORM_TOL):
+        self.d, self.c = d, c
+        self.a = finite_copy([a for a, _, _ in units], "net weights a")
+        self.W = finite_copy([w for _, w, _ in units], "net directions W").reshape(len(units), d)
+        self.b = finite_copy([b for _, _, b in units], "net offsets b")
+        self.v = finite_copy(np.zeros(d) if v is None else v, "net linear part v")
+        if not abs(c) < math.inf:
+            raise ValueError(f"net constant c must be finite, got {c}")
+        if np.any(np.abs(np.linalg.norm(self.W, axis=1) - 1.0) > UNIT_NORM_TOL):
             raise ValueError("unit directions must have norm 1 (to 1e-12)")
-        for arr in (self.a, self.W, self.b, self.v):
-            arr.setflags(write=False)
 
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -66,8 +64,8 @@ class RNormReport:
     sinogram: Sinogram | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("R-norm values are nonnegative")
+        if not self.value >= 0:
+            raise ValueError(f"R-norm values are nonnegative, got {self.value}")
         if math.isinf(self.value) and self.error_estimate is not None:
             raise ValueError("an infinite value carries no error estimate")
 
@@ -121,12 +119,11 @@ class AtomicMeasure:
     def __post_init__(self):
         atoms = tuple(self.atoms)
         if atoms:
-            W = np.array([w for w, _, _ in atoms], dtype=float)
-            b = np.array([offset for _, offset, _ in atoms], dtype=float)
+            W = finite_copy([w for w, _, _ in atoms], "atom directions")
+            b = finite_copy([offset for _, offset, _ in atoms], "atom offsets")
             keys = _merge_labels(np.column_stack([W, b]))
             _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-            weights = np.bincount(inverse.ravel(), weights=[wt for _, _, wt in atoms])
-            W.setflags(write=False)
+            weights = np.bincount(inverse.ravel(), finite_copy([wt for _, _, wt in atoms], "atom weights"))
             order = np.argsort(first)
             atoms = tuple(
                 (W[first[g]], float(b[first[g]]), float(weights[g])) for g in order if weights[g] != 0

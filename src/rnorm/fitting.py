@@ -8,7 +8,8 @@ with the linear unit and bias collected in the unpenalized block L z.  The
 loop runs on one operator [Phi diag(1/colnorm) | L] and one vector (a, z),
 in a tube narrowed by the stopping rule's slack, so a converged fit has
 every |residual| <= tol (<= 1e-8 at tol 0).  An exact LP oracle (scipy HiGHS)
-solves the same program in equality form, with one slack in [-tau, tau] per sample.
+solves the program in equality form, with one slack in [-tol, tol] per sample, so
+tol 0 is exact interpolation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import AtomicMeasure, FiniteReluNet, even_part
-from .radon import MAX_ARRAY_ENTRIES, UnsupportedDimensionError
+from .grids import finite_copy
+from .radon import MAX_ARRAY_ENTRIES, OFFSET_MARGIN, UnsupportedDimensionError
 
 DEFAULT_MAX_ITER = 50_000
 GAP_CHECK_EVERY = 250
@@ -56,14 +58,12 @@ class FitProblem:
     offset_range: float | None = None
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
+        X = finite_copy(np.atleast_2d(self.X), "samples X")
+        y = finite_copy(np.ravel(self.y), "targets y")
         if X.shape[0] != y.size or X.shape[0] < 1:
             raise ValueError("need one target per sample point")
         if X.shape[1] != 2:
             raise UnsupportedDimensionError(f"atom dictionaries are implemented for d=2, got d={X.shape[1]}")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("samples and targets must be finite")
         if self.K < 2 or self.K % 2 or self.J < 2:
             raise ValueError(f"atom grid needs an even K >= 2 and J >= 2 offsets, got K={self.K}, J={self.J}")
         check_dictionary_size(X.shape[0], self.K, self.J)
@@ -72,11 +72,9 @@ class FitProblem:
         B = self.offset_range
         radius = float(np.linalg.norm(X, axis=1).max())
         if B is None:
-            B = 1.05 * radius if radius > 0 else 1.0
-        elif B < radius:
-            raise ValueError("atom offset range does not cover the sample hull")
-        X.setflags(write=False)
-        y.setflags(write=False)
+            B = OFFSET_MARGIN * radius if radius > 0 else 1.0
+        elif not radius <= B < math.inf:
+            raise ValueError(f"atom offset range must be finite and cover the sample hull, got {B}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "offset_range", float(B))
@@ -261,18 +259,18 @@ def lp_oracle(p: FitProblem) -> float:
     """Exact LP value of the same discretized program (independent of the solver).
 
     Equality form, solved by HiGHS: min sum(a+ + a-) subject to
-    Psi (a+ - a-) + L z - s = y with a+, a- >= 0, z free and s in [-tau, tau].
+    Psi (a+ - a-) + L z - s = y with a+, a- >= 0, z free and s in [-tol, tol]
+    (s = 0, exact interpolation, at tol 0).
     """
     from scipy.optimize import linprog
 
     Phi, L = build_dictionary(p)
-    tau = max(p.tol, INTERPOLATION_SLACK)
     N, M = Phi.shape
     nz = L.shape[1]
     cost = np.concatenate([np.ones(2 * M), np.zeros(nz + N)])
     A_eq = np.concatenate([Phi, -Phi, L, -np.eye(N)], axis=1)
     del Phi
-    bounds = [(0, None)] * (2 * M) + [(None, None)] * nz + [(-tau, tau)] * N
+    bounds = [(0, None)] * (2 * M) + [(None, None)] * nz + [(-p.tol, p.tol)] * N
     res = linprog(cost, A_eq=A_eq, b_eq=p.y, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"LP oracle failed: {res.message}")

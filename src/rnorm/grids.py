@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import TextIO
@@ -16,12 +17,24 @@ AXIS_TOL = 1e-9
 CSV_BLOCK_ROWS = 2**12
 
 
+def finite_copy(values, field: str) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of values; a NaN or inf raises a one-line ValueError naming field.
+
+    Every value type builds its arrays here, so none aliases or freezes a caller's array.
+    """
+    a = np.array(values, dtype=float, order="C")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{field} must be finite")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class GridFunction2D:
     """n x n samples of f on a square grid centered at the origin.
 
     values[i, j] = f(x_i, y_j) with x_i = (i - (n-1)/2) * h, held as a
-    read-only C-contiguous array (a strided view is copied).
+    read-only C-contiguous copy of the given samples (finite_copy).
     """
 
     values: np.ndarray
@@ -29,16 +42,13 @@ class GridFunction2D:
     warnings: tuple = ()
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
+        v = finite_copy(self.values, "grid values")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("grid values must be a square matrix")
         if v.shape[0] < 16:
             raise ValueError("grid must be at least 16x16")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid samples must be finite")
-        if self.h <= 0:
-            raise ValueError("grid spacing must be positive")
-        v.setflags(write=False)
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"grid spacing must be positive and finite, got {self.h}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -56,13 +66,6 @@ class GridFunction2D:
     def axis(self) -> np.ndarray:
         n = self.n
         return (np.arange(n) - (n - 1) / 2.0) * self.h
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        ax = self.axis()
-        return np.meshgrid(ax, ax, indexing="ij")
-
-    def integral(self) -> float:
-        return float(self.values.sum()) * self.h**2
 
     def boundary_leakage(self) -> float:
         """Largest boundary-ring magnitude relative to the grid max."""
@@ -163,4 +166,4 @@ def sample_grid(func, n: int, half_extent: float) -> GridFunction2D:
     h = 2.0 * half_extent / n
     ax = (np.arange(n) - (n - 1) / 2.0) * h
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-    return GridFunction2D(np.asarray(func(X, Y), dtype=float), h)
+    return GridFunction2D(func(X, Y), h)

@@ -21,10 +21,13 @@ Coeffs = tuple
 
 
 def _as_exact(x):
-    """Promote ints/Fractions untouched, leave floats as floats."""
+    """Promote ints/Fractions untouched, leave floats as floats; a NaN or inf raises ValueError."""
     if isinstance(x, Rational):
         return Fraction(x)
-    return float(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"piecewise-polynomial breakpoints and coefficients must be finite, got {x}")
+    return x
 
 
 def poly_trim(coeffs) -> tuple:
@@ -153,13 +156,6 @@ class PiecewisePolynomial:
             at = index == i
             out[at] = np.polyval([float(c) for c in reversed(coeffs)], x[at])
         return float(out) if out.ndim == 0 else out
-
-    def eval_exact(self, b):
-        """Evaluate keeping exact arithmetic when b is rational."""
-        i = int(self._piece_index(float(b)))
-        if i < 0:
-            return Fraction(0)
-        return poly_eval(self.pieces[i], b)
 
     def boundary_jumps(self) -> list[tuple]:
         """(location, jump) at each breakpoint; jump = right limit - left limit."""

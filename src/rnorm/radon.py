@@ -11,7 +11,7 @@ from typing import TextIO
 import numpy as np
 
 from .constants import constants
-from .grids import AXIS_TOL, GridFunction2D, read_table_csv, uniform_step, write_table_csv
+from .grids import AXIS_TOL, GridFunction2D, finite_copy, read_table_csv, uniform_step, write_table_csv
 from .piecewise import (
     PiecewisePolynomial,
     poly_antiderivative,
@@ -46,18 +46,14 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
-        b = np.asarray(self.offsets, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        a = finite_copy(self.angles, "sinogram angles")
+        b = finite_copy(self.offsets, "sinogram offsets")
+        v = finite_copy(self.values, "sinogram values")
         if v.shape != (a.size, b.size):
             raise ValueError("sinogram values must be angles x offsets")
-        if not all(np.isfinite(arr).all() for arr in (a, b, v)):
-            raise ValueError("sinogram angles, offsets and values must be finite")
         uniform_step(b, "sinogram offsets")
         if a.size == 0 or np.abs(a * a.size / math.pi - np.arange(a.size)).max() > AXIS_TOL:
             raise ValueError(f"sinogram angles are not k*pi/K for K={a.size}")
-        for arr in (a, b, v):
-            arr.setflags(write=False)
         object.__setattr__(self, "angles", a)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "values", v)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction2D
+from .grids import GridFunction2D, finite_copy
 
 LEAKAGE_THRESHOLD = 1e-6
 
@@ -31,17 +31,13 @@ class PwlCurvatureMeasure2D:
     def __post_init__(self):
         segs = []
         for p0, p1, c in self.segments:
-            p0 = np.asarray(p0, dtype=float)
-            p1 = np.asarray(p1, dtype=float)
-            c = float(c)
-            if not all(p.shape == (2,) and np.all(np.isfinite(p)) for p in (p0, p1)):
-                raise ValueError("segment endpoints must be finite 2-vectors")
+            p0, p1, c = finite_copy(p0, "segment endpoint p0"), finite_copy(p1, "segment endpoint p1"), float(c)
+            if not p0.shape == p1.shape == (2,):
+                raise ValueError("segment endpoints must be 2-vectors")
             if np.allclose(p0, p1):
                 raise ValueError("degenerate boundary segment")
-            if not math.isfinite(c) or c == 0:
+            if not 0 < abs(c) < math.inf:
                 raise ValueError("curvature coefficients must be finite and nonzero")
-            p0.setflags(write=False)
-            p1.setflags(write=False)
             segs.append((p0, p1, c))
         object.__setattr__(self, "segments", tuple(segs))
 
@@ -55,13 +51,11 @@ class RayDecaySample:
     magnitudes: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.direction, dtype=float)
-        s = np.asarray(self.sigmas, dtype=float)
-        m = np.asarray(self.magnitudes, dtype=float)
-        if not np.all(np.diff(s) > 0) or s[0] <= 0:
-            raise ValueError("sigmas must be positive and increasing")
-        for arr in (w, s, m):
-            arr.setflags(write=False)
+        w = finite_copy(self.direction, "ray direction")
+        s = finite_copy(self.sigmas, "ray sigmas")
+        m = finite_copy(self.magnitudes, "ray magnitudes")
+        if not (s.size and s[0] > 0 and np.all(np.diff(s) > 0)) or m.shape != s.shape:
+            raise ValueError("sigmas must be positive and increasing, with one magnitude each")
         object.__setattr__(self, "direction", w)
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "magnitudes", m)

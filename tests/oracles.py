@@ -1,17 +1,36 @@
 """Reference computations that only tests use: slow, direct forms of what the package computes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from rnorm import GridFunction2D, RayDecaySample
+from rnorm import GridFunction2D, PiecewisePolynomial, RayDecaySample
+from rnorm.piecewise import poly_eval
+
+
+def grid_meshgrid(f: GridFunction2D) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate arrays (X, Y) of f's samples, indexed like f.values."""
+    ax = f.axis()
+    return np.meshgrid(ax, ax, indexing="ij")
+
+
+def grid_integral(f: GridFunction2D) -> float:
+    """The Riemann sum of f: the sample sum times the cell area h^2."""
+    return float(f.values.sum()) * f.h**2
+
+
+def eval_exact(p: PiecewisePolynomial, b):
+    """p(b) in exact arithmetic when b and p's coefficients are rational; Fraction(0) outside the support."""
+    i = int(p._piece_index(float(b)))
+    return poly_eval(p.pieces[i], b) if i >= 0 else Fraction(0)
 
 
 def grid_fourier_ray(f: GridFunction2D, w, sigmas) -> RayDecaySample:
     """|f-hat(sigma w)| by direct nonuniform summation over the grid samples."""
     w = np.asarray(w, dtype=float)
     sig = np.asarray(sigmas, dtype=float)
-    X, Y = f.meshgrid()
+    X, Y = grid_meshgrid(f)
     t = (w[0] * X + w[1] * Y).ravel()
     v = f.values.ravel()
     mags = np.empty(sig.size)

@@ -91,3 +91,17 @@ def test_every_export_is_used_by_the_package_or_a_criterion():
     import rnorm
 
     assert sorted(set(rnorm.__all__) - used) == []
+
+
+def test_arrays_are_frozen_only_by_the_value_type_helper():
+    # grids.finite_copy is the one place that makes an array read-only: no value type aliases or
+    # freezes a caller's array on its own
+    freezing = set()
+    for path in (ROOT / "src" / "rnorm").glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        helper = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "finite_copy"
+                  for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("setflags", "writeable"):
+                freezing.add((path.name, id(node) in helper))
+    assert freezing == {("grids.py", True)}

@@ -4,8 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from rnorm import GridFunction2D, sample_grid
+from rnorm import (
+    AtomicMeasure, FiniteReluNet, FitProblem, GridFunction2D, PiecewisePolynomial, PwlCurvatureMeasure2D,
+    RayDecaySample, RNormReport, Sinogram, sample_grid,
+)
 from rnorm.grids import read_csv
+
+from oracles import grid_integral, grid_meshgrid
 
 
 def test_sample_grid_shape_and_axis():
@@ -15,13 +20,13 @@ def test_sample_grid_shape_and_axis():
     ax = f.axis()
     assert ax.size == 32
     assert ax[0] == pytest.approx(-ax[-1])
-    X, Y = f.meshgrid()
+    X, Y = grid_meshgrid(f)
     assert np.allclose(f.values, X + 2 * Y)
 
 
 def test_gaussian_integral():
     f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), 256, 8.0)
-    assert f.integral() == pytest.approx(2.0 * math.pi, rel=1e-6)
+    assert grid_integral(f) == pytest.approx(2.0 * math.pi, rel=1e-6)
 
 
 def test_half_extent_and_diagonal():
@@ -157,3 +162,84 @@ def test_values_are_read_only():
     with pytest.raises(ValueError):
         f.values[0, 0] = 5.0
 
+
+def _value_types():
+    """Per value type: valid float inputs keyed by the name its errors give them, a constructor
+    that passes them as a caller would, and the arrays the built object stores."""
+    rng = np.random.default_rng(0)
+    th = rng.uniform(0.0, 2.0 * math.pi, 3)
+    W = np.stack([np.cos(th), np.sin(th)], axis=1)
+    return {
+        "GridFunction2D": (
+            {"values": rng.standard_normal((16, 16))},
+            lambda values: GridFunction2D(values, 0.5),
+            lambda f: [f.values],
+        ),
+        "Sinogram": (
+            {"angles": np.arange(32) * math.pi / 32, "offsets": np.linspace(-1.0, 1.0, 65),
+             "values": rng.standard_normal((32, 65))},
+            lambda angles, offsets, values: Sinogram(angles, offsets, values),
+            lambda s: [s.angles, s.offsets, s.values],
+        ),
+        "FitProblem": (
+            {"X": rng.uniform(-1.0, 1.0, (5, 2)), "y": rng.standard_normal(5)},
+            lambda X, y: FitProblem(X, y, K=8, J=9),
+            lambda p: [p.X, p.y],
+        ),
+        "FiniteReluNet": (
+            {"a": rng.standard_normal(3), "W": W, "b": rng.standard_normal(3), "v": rng.standard_normal(2)},
+            lambda a, W, b, v: FiniteReluNet(2, tuple(zip(a, W, b)), v=v, c=0.5),
+            lambda net: [net.a, net.W, net.b, net.v],
+        ),
+        "RayDecaySample": (
+            {"direction": W[0], "sigmas": np.geomspace(1.0, 10.0, 7), "magnitudes": rng.uniform(0.0, 1.0, 7)},
+            lambda direction, sigmas, magnitudes: RayDecaySample(direction, sigmas, magnitudes),
+            lambda r: [r.direction, r.sigmas, r.magnitudes],
+        ),
+        "PwlCurvatureMeasure2D": (
+            {"p0": np.array([0.0, 0.0]), "p1": np.array([1.0, 0.5])},
+            lambda p0, p1: PwlCurvatureMeasure2D(((p0, p1, 2.0),)),
+            lambda mu: [mu.segments[0][0], mu.segments[0][1]],
+        ),
+        "AtomicMeasure": (
+            {"directions": W, "offsets": rng.standard_normal(3), "weights": rng.standard_normal(3)},
+            lambda directions, offsets, weights: AtomicMeasure(tuple(zip(directions, offsets, weights))),
+            lambda m: [w for w, _, _ in m.atoms],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_types()))
+def test_value_types_copy_their_inputs_and_reject_non_finite_ones(name):
+    inputs, build, stored = _value_types()[name]
+    before = {k: v.copy() for k, v in inputs.items()}
+    obj = build(**inputs)
+    for k, v in inputs.items():
+        assert v.flags.writeable and np.array_equal(v, before[k]), k
+    for arr in stored(obj):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert not any(np.shares_memory(arr, v) for v in inputs.values())
+    for field in inputs:
+        for bad in (math.nan, math.inf):
+            corrupt = dict(before, **{field: before[field].copy()})
+            corrupt[field].flat[-1] = bad
+            with pytest.raises(ValueError, match=rf"\b{field}\b.* finite") as info:
+                build(**corrupt)
+            assert "\n" not in str(info.value), (field, bad)
+
+
+def test_non_finite_scalars_are_rejected():
+    X = np.array([[0.0, 0.0], [0.5, 0.5]])
+    cases = [
+        lambda: GridFunction2D(np.zeros((16, 16)), math.nan),
+        lambda: GridFunction2D(np.zeros((16, 16)), math.inf),
+        lambda: FitProblem(X, np.zeros(2), K=8, J=9, offset_range=math.nan),
+        lambda: FitProblem(X, np.zeros(2), K=8, J=9, offset_range=math.inf),
+        lambda: PiecewisePolynomial((0, 1), ((1.0, 0.0, math.nan),)),
+        lambda: PiecewisePolynomial((0, math.inf), ((1.0,),)),
+        lambda: RNormReport(math.nan, "x"),
+    ]
+    for make in cases:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert "\n" not in str(info.value)

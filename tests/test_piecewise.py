@@ -20,6 +20,8 @@ from rnorm.piecewise import (
     pw_derivative,
 )
 
+from oracles import eval_exact
+
 
 def _bump_pw(k: int) -> PiecewisePolynomial:
     """(1 - b^2)^k on [-1, 1], exact coefficients."""
@@ -63,7 +65,7 @@ class TestPiecewisePolynomial:
         assert p(2.0) == 0.0
         assert p(-1.0) == 0.0
         assert p(1.0) == 1.0
-        assert PiecewisePolynomial((0, 1), ((1,),)).eval_exact(1) == 1
+        assert eval_exact(PiecewisePolynomial((0, 1), ((1,),)), 1) == 1
         vals = p(np.array([0.25, 0.75, 3.0]))
         assert np.allclose(vals, [0.25, 0.75, 0.0])
 
@@ -89,7 +91,7 @@ class TestPiecewisePolynomial:
 
     def test_exact_evaluation_keeps_fractions(self):
         p = _bump_pw(3)
-        val = p.eval_exact(Fraction(1, 2))
+        val = eval_exact(p, Fraction(1, 2))
         assert val == Fraction(27, 64)
 
     def test_abs_integral_with_sign_change(self):

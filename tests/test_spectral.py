@@ -13,7 +13,7 @@ from rnorm import (
     sample_grid,
 )
 
-from oracles import grid_fourier_ray
+from oracles import grid_fourier_ray, grid_meshgrid
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ class TestFracLaplacian:
     def test_order_two_matches_negative_laplacian(self, gauss):
         # -Delta e^{-r^2/2} = (2 - r^2) e^{-r^2/2}
         out = frac_laplacian_2d(gauss, 2.0)
-        X, Y = gauss.meshgrid()
+        X, Y = grid_meshgrid(gauss)
         r2 = X**2 + Y**2
         expected = (2.0 - r2) * np.exp(-r2 / 2.0)
         inner = r2 < 25.0
@@ -87,7 +87,7 @@ class TestFracLaplacian:
     def test_half_powers_compose(self, gauss):
         once = frac_laplacian_2d(frac_laplacian_2d(gauss, 1.0), 1.0)
         direct = frac_laplacian_2d(gauss, 2.0)
-        X, Y = gauss.meshgrid()
+        X, Y = grid_meshgrid(gauss)
         inner = X**2 + Y**2 < 16.0
         scale = np.abs(direct.values).max()
         assert np.abs(once.values - direct.values)[inner].max() <= 0.01 * scale
@@ -160,8 +160,9 @@ class TestRayProbes:
         assert np.all(sample.magnitudes[1:] <= 0.01 * sample.magnitudes[0])
 
     def test_ray_sample_validation_and_csv(self):
-        with pytest.raises(ValueError):
-            RayDecaySample(np.array([1.0, 0.0]), np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+        for sigmas, magnitudes in (([2.0, 1.0], [1.0, 1.0]), ([], []), ([1.0, 2.0], [1.0])):
+            with pytest.raises(ValueError, match="sigmas"):
+                RayDecaySample(np.array([1.0, 0.0]), np.array(sigmas), np.array(magnitudes))
         s = RayDecaySample(np.array([1.0, 0.0]), np.array([1.0, 2.0]), np.array([4.0, 1.0]))
         assert s.to_csv().splitlines()[0] == "sigma,magnitude"
 

@@ -42,6 +42,8 @@ class FiniteReluNet:
         self.W = finite_copy([w for _, w, _ in units], "net directions W").reshape(len(units), d)
         self.b = finite_copy([b for _, _, b in units], "net offsets b")
         self.v = finite_copy(np.zeros(d) if v is None else v, "net linear part v")
+        if self.v.shape != (d,):
+            raise ValueError(f"net linear part v must have shape ({d},), got {self.v.shape}")
         if not abs(c) < math.inf:
             raise ValueError(f"net constant c must be finite, got {c}")
         if np.any(np.abs(np.linalg.norm(self.W, axis=1) - 1.0) > UNIT_NORM_TOL):

@@ -60,6 +60,8 @@ class FitProblem:
     def __post_init__(self):
         X = finite_copy(np.atleast_2d(self.X), "samples X")
         y = finite_copy(np.ravel(self.y), "targets y")
+        if X.ndim != 2:
+            raise ValueError(f"samples X must be an (N, d) array, got shape {X.shape}")
         if X.shape[0] != y.size or X.shape[0] < 1:
             raise ValueError("need one target per sample point")
         if X.shape[1] != 2:

@@ -3,7 +3,9 @@
 Polynomials are coefficient lists in ascending powers.  Coefficients are kept
 as exact `Fraction`s whenever the inputs are rational, so repeated
 differentiation and the |polynomial| integrals stay exact up to the float
-conversion at the very end.
+conversion at the very end.  Evaluation at a rational point runs on integers:
+Horner's rule on the numerators over one common denominator, with a single
+`Fraction` built for the result.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import numpy as np
 BREAKPOINT_TOL = 1e-12
 
 Coeffs = tuple
+_RATIONAL = (int, Fraction)
 
 
 def _as_exact(x):
     """Promote ints/Fractions untouched, leave floats as floats; a NaN or inf raises ValueError."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, Rational):
         return Fraction(x)
     x = float(x)
@@ -38,10 +43,25 @@ def poly_trim(coeffs) -> tuple:
 
 
 def poly_eval(coeffs, x):
+    """p(x) by Horner's rule: exact at rational x and coefficients, float or array otherwise."""
+    if type(x) in _RATIONAL and coeffs and all(type(c) in _RATIONAL for c in coeffs):
+        if type(x) is Fraction or any(type(c) is Fraction for c in coeffs):
+            return _eval_rational(coeffs, x)
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _eval_rational(coeffs, x) -> Fraction:
+    """p(a/b) = sum n_i a^i b^(deg-i) / (D b^deg), where n_i = c_i D over the common denominator D."""
+    a, b = x.numerator, x.denominator
+    D = math.lcm(*(c.denominator for c in coeffs))
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c.numerator * (D // c.denominator) * scale
+        scale *= b
+    return Fraction(acc, D * b ** (len(coeffs) - 1))
 
 
 def poly_add(a, b):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 
 from rnorm import GridFunction2D, PiecewisePolynomial, RayDecaySample
-from rnorm.piecewise import poly_eval
 
 
 def grid_meshgrid(f: GridFunction2D) -> tuple[np.ndarray, np.ndarray]:
@@ -20,10 +19,19 @@ def grid_integral(f: GridFunction2D) -> float:
     return float(f.values.sum()) * f.h**2
 
 
+def horner(coeffs, x):
+    """sum c_i x^i by Horner's rule, one Python operation per step: a Fraction step at each
+    rational x, the reference that rnorm.piecewise.poly_eval's integer evaluation must equal."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def eval_exact(p: PiecewisePolynomial, b):
     """p(b) in exact arithmetic when b and p's coefficients are rational; Fraction(0) outside the support."""
     i = int(p._piece_index(float(b)))
-    return poly_eval(p.pieces[i], b) if i >= 0 else Fraction(0)
+    return horner(p.pieces[i], b) if i >= 0 else Fraction(0)
 
 
 def grid_fourier_ray(f: GridFunction2D, w, sigmas) -> RayDecaySample:

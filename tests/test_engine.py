@@ -22,7 +22,7 @@ from rnorm.engine import _exp_bump_factors, _exp_bump_term
 from rnorm.piecewise import PiecewisePolynomial
 from rnorm.radon import UnsupportedDimensionError
 
-from oracles import exp_bump_laplacian_max
+from oracles import exp_bump_laplacian_max, horner
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -106,6 +106,11 @@ class TestFiniteNet:
             with pytest.raises(ValueError, match="finite"):
                 FiniteReluNet(2, ((a, E1, b),), v=v, c=c)
 
+    def test_linear_part_of_wrong_shape_rejected(self):
+        for v in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match=r"^net linear part v must have shape \(2,\), got"):
+                FiniteReluNet(2, ((1.0, E1, 0.0),), v=v)
+
 
 class TestReport:
     def test_negative_value_rejected(self):
@@ -150,6 +155,25 @@ class TestRadial:
         rep = rnorm_radial_odd(RadialFunction(5, bump_poly(1)))
         assert rep.is_infinite
         assert rep.diagnostics["atom_derivative_order"] >= 1
+
+    def test_report_is_the_same_under_the_fraction_horner_oracle(self, monkeypatch):
+        """Integer evaluation at rational points changes no value, atom or derivative order,
+        on finite and infinite norms alike."""
+        dilations = (1, Fraction(7, 5), Fraction(3, 11))
+        cases = [(d, k, eps) for d in (3, 5, 7, 9) for k in range(1, 8) for eps in dilations]
+
+        def reports():
+            return [rnorm_radial_odd(RadialFunction(d, bump_poly(k, dilation=eps))) for d, k, eps in cases]
+
+        production = reports()
+        for module in ("rnorm.piecewise", "rnorm.radon", "rnorm.engine"):
+            monkeypatch.setattr(f"{module}.poly_eval", horner)
+        oracle = reports()
+        assert any(r.is_infinite for r in production) and not all(r.is_infinite for r in production)
+        for case, got, want in zip(cases, production, oracle):
+            assert got.value == want.value, case
+            assert got.diagnostics["atoms"] == want.diagnostics["atoms"], case
+            assert got.diagnostics["atom_derivative_order"] == want.diagnostics["atom_derivative_order"], case
 
 
 class TestBounds:

@@ -138,6 +138,8 @@ class TestFitProblem:
             FitProblem(np.array([[0.0, 0.0], [math.nan, 0.5], [0.5, 0.0]]), np.zeros(3))
         with pytest.raises(ValueError, match="finite"):
             FitProblem(X, np.array([0.0, math.inf, 0.0]))
+        with pytest.raises(ValueError, match=r"\(N, d\) array, got shape \(3, 2, 1\)$"):
+            FitProblem(np.zeros((3, 2, 1)) + 0.1, np.zeros(3), K=8, J=9)
 
     def test_default_offset_range_covers_hull(self):
         X = 2.0 * np.eye(2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnorm.piecewise import (
@@ -20,7 +20,7 @@ from rnorm.piecewise import (
     pw_derivative,
 )
 
-from oracles import eval_exact
+from oracles import eval_exact, horner
 
 
 def _bump_pw(k: int) -> PiecewisePolynomial:
@@ -163,3 +163,27 @@ def test_poly_ring_identities(a, b, x):
     a, b = tuple(a), tuple(b)
     assert poly_eval(poly_add(a, b), x) == poly_eval(a, x) + poly_eval(b, x)
     assert poly_eval(poly_mul(a, b), x) == poly_eval(a, x) * poly_eval(b, x)
+
+
+_RATIONALS = st.one_of(st.integers(min_value=-10**6, max_value=10**6), st.fractions(max_denominator=10**4))
+
+
+@given(
+    st.lists(_RATIONALS, max_size=9),
+    st.booleans(),
+    st.lists(st.sampled_from([0, Fraction(0)]), max_size=3),
+    _RATIONALS,
+)
+@example([], False, [], Fraction(3, 7))
+@example([], False, [], 0)
+@example([1, 2, 3], True, [], 0)
+@example([Fraction(1, 3), 2], False, [0, Fraction(0)], 0)
+@example([5, -4], True, [0], Fraction(-2, 9))
+@example([5, -4], True, [Fraction(0)], -3)
+@example([Fraction(5, 2), 4], False, [], -3)
+@settings(max_examples=300, deadline=None)
+def test_poly_eval_equals_fraction_horner_exactly(coeffs, ints_only, trailing_zeros, x):
+    """The integer evaluation at rational points gives the Fraction loop's value and type."""
+    coeffs = tuple([int(c) for c in coeffs] if ints_only else coeffs) + tuple(trailing_zeros)
+    got, want = poly_eval(coeffs, x), horner(coeffs, x)
+    assert got == want and type(got) is type(want)

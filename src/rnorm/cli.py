@@ -154,17 +154,17 @@ def cmd_fit(args) -> int:
     }
     X, y = _read(args.samples, _parse_samples)
     p = FitProblem(X, y, K=args.K, J=args.J, tol=args.tol, use_linear_unit=not args.no_linear_unit)
-    extras = {}
+    extras, rows = {}, []
     if args.levels:
         # before the fit, so that a bad --levels fails before the long solve
         rows = refinement_study(p, args.levels)
-        lines = ["K,J,norm,gap"] + [
-            f"{r['K']},{r['J']},{r['norm']:.17g},{r['gap']:.17g}" for r in rows
+        lines = ["K,J,norm,gap,converged"] + [
+            f"{r['K']},{r['J']},{r['norm']:.17g},{r['gap']:.17g},{str(r['converged']).lower()}" for r in rows
         ]
         extras["refinement.csv"] = "\n".join(lines) + "\n"
     fit = min_norm_fit(p)
     _emit(_report(config, fit.to_dict()), args.out, extras)
-    return EXIT_OK if fit.converged else EXIT_SOLVER
+    return EXIT_OK if fit.converged and all(r["converged"] for r in rows) else EXIT_SOLVER
 
 
 def _parse_geometry(source: TextIO) -> tuple[PwlCurvatureMeasure2D, list]:

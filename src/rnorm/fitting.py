@@ -5,9 +5,9 @@ The primary solver is a Chambolle-Pock primal-dual iteration on
     min ||a||_1   s.t.  |Phi a + L z - y|_inf <= tau,
 
 with the linear unit and bias collected in the unpenalized block L z.  The
-loop runs on one operator [Phi diag(1/colnorm) | L] and one vector (a, z),
-in a tube narrowed by the stopping rule's slack, so a converged fit has
-every |residual| <= tol (<= 1e-8 at tol 0).  An exact LP oracle (scipy HiGHS)
+loop runs on one operator step [Phi diag(1/colnorm) | L | -y] and one vector
+(a, z, 1), in a tube narrowed by the stopping rule's slack, so a converged fit
+has every |residual| <= tol (<= 1e-8 at tol 0).  An exact LP oracle (scipy HiGHS)
 solves the program in equality form, with one slack in [-tol, tol] per sample, so
 tol 0 is exact interpolation.
 """
@@ -175,9 +175,10 @@ def min_norm_fit(
     The iterates live in the narrower tube (tau - 1e-9) / (1 + 1e-3), so that
     converged=True means every |residual| <= tol (<= 1e-8 at tol 0).
 
-    The loop runs on one operator K = [Psi diag(1/colnorm) | L] acting on
-    x = (a, z): two matrix-vector products per iteration and in-place updates
-    of buffers allocated before it.  The solve holds two copies of Psi.
+    The loop runs on one operator Kaug = step [Psi diag(1/colnorm) | L | -y]
+    acting on x = (a, z, 1), so the dual step is lam + Kaug x_bar and the primal
+    step x - Kaug^T lam: two matrix-vector products and ten in-place updates of
+    buffers allocated before the loop.  The solve holds two copies of Psi.
     """
     Phi, L = build_dictionary(p)
     y = p.y
@@ -192,18 +193,22 @@ def min_norm_fit(
     colnorm = np.linalg.norm(Phi, axis=0)
     colnorm[colnorm == 0] = 1.0
     N, M = Phi.shape
-    Kmat = np.empty((N, M + L.shape[1]))
-    np.divide(Phi, colnorm, out=Kmat[:, :M])
-    Kmat[:, M:] = L
-    KmatT = Kmat.T
+    # the power iteration runs on the first two blocks, before -y and the step go in
+    Kaug = np.empty((N, M + L.shape[1] + 1))
+    np.divide(Phi, colnorm, out=Kaug[:, :M])
+    Kaug[:, M:-1] = L
+    Kmat = Kaug[:, :-1]
 
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(Kmat.shape[1])
     for _ in range(100):
-        vec = KmatT @ (Kmat @ vec)
+        vec = Kmat.T @ (Kmat @ vec)
         vec /= np.linalg.norm(vec)
-    opnorm = math.sqrt(float(vec @ (KmatT @ (Kmat @ vec))))
+    opnorm = math.sqrt(float(vec @ (Kmat.T @ (Kmat @ vec))))
     step = 0.99 / max(opnorm, 1e-12)
+    Kaug[:, -1] = -y
+    Kaug *= step
+    KaugT = Kaug.T
 
     Lpinv = np.linalg.pinv(L)
 
@@ -214,44 +219,45 @@ def min_norm_fit(
             lam_f = lam_f / scale
         return float(-y @ lam_f - tau_in * np.abs(lam_f).sum())
 
-    # soft-threshold(u, t) = u - clip(u, -t, t); t = 0 leaves the free z entries alone
-    lam_t = step * tau_in
+    # soft-threshold(u, t) = u - clip(u, -t, t); t = 0 leaves the free z entries alone.
+    # Every threshold is an array: minimum/maximum would convert a Python float per call
+    lam_t = np.full(N, step * tau_in)
+    neg_lam_t = -lam_t
     weights = 1.0 / colnorm  # l1 weights of the equilibrated variables
-    x_t = np.zeros(Kmat.shape[1])
+    x_t = np.zeros(Kaug.shape[1])
     x_t[:M] = step * weights
     neg_x_t = -x_t
-    step_y = step * y
 
-    x, x_old, x_bar, v = (np.zeros(Kmat.shape[1]) for _ in range(4))
+    # the last entry of x, x_old and v is scratch; x_bar's is the 1 that picks up -step y
+    x, x_old, x_bar, v = (np.zeros(Kaug.shape[1]) for _ in range(4))
     lam, u = np.zeros(N), np.empty(N)
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        np.dot(Kmat, x_bar, out=u)
-        u *= step
-        u += lam
-        u -= step_y
+        x_bar[-1] = 1.0
+        Kaug.dot(x_bar, u)
+        np.add(u, lam, u)
         np.minimum(u, lam_t, out=lam)
-        np.maximum(lam, -lam_t, out=lam)
-        np.subtract(u, lam, out=lam)
+        np.maximum(lam, neg_lam_t, out=lam)
+        np.subtract(u, lam, lam)
         x, x_old = x_old, x
-        np.dot(KmatT, lam, out=v)
-        v *= step
-        np.subtract(x_old, v, out=v)
+        KaugT.dot(lam, v)
+        np.subtract(x_old, v, v)
         np.minimum(v, x_t, out=x)
         np.maximum(x, neg_x_t, out=x)
-        np.subtract(v, x, out=x)
-        np.multiply(x, 2.0, out=x_bar)
-        x_bar -= x_old
+        np.subtract(v, x, x)
+        np.add(x, x, x_bar)
+        np.subtract(x_bar, x_old, x_bar)
         if it % GAP_CHECK_EVERY == 0:
-            resid = float(np.abs(Kmat @ x - y).max())
+            x[-1] = 1.0
+            resid = float(np.abs(Kaug @ x).max()) / step
             primal = float((weights * np.abs(x[:M])).sum())
             gap = primal - dual_value(lam)
             if resid <= tau and gap <= gap_tol:
                 break
 
     a_true = x[:M] / colnorm
-    z = x[M:].copy()
+    z = x[M:-1].copy()
     resid = float(np.abs(Phi @ a_true + L @ z - y).max())
     converged = gap <= gap_tol and resid <= tau
     return _result_from_weights(p, a_true, z, Phi, L, gap, it, converged)
@@ -297,6 +303,8 @@ def refinement_study(
     prefixes keep the trajectory comparable across levels).  With a fixed
     sample set and nested dictionaries the minimum could only decrease, which
     would hide infinite-norm blow-up.  method="lp" solves each level exactly.
+    Each row carries K, J, norm, gap and converged (the level's fit met its
+    stopping rule; always true for method="lp").
     """
     if levels < 2:
         raise ValueError("need at least 2 refinement levels")
@@ -325,9 +333,11 @@ def refinement_study(
             offset_range=p.offset_range,
         )
         if method == "lp":
-            rows.append({"K": K, "J": J, "norm": lp_oracle(prob), "gap": 0.0})
+            rows.append({"K": K, "J": J, "norm": lp_oracle(prob), "gap": 0.0, "converged": True})
         else:
             yscale = max(float(np.abs(y).max()), 1e-12)
             fit = min_norm_fit(prob, max_iter=max_iter, gap_tol=gap_rel * yscale)
-            rows.append({"K": K, "J": J, "norm": fit.objective, "gap": fit.duality_gap})
+            rows.append(
+                {"K": K, "J": J, "norm": fit.objective, "gap": fit.duality_gap, "converged": fit.converged}
+            )
     return rows

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rnorm
-from rnorm import Sinogram, constants, sample_grid
+from rnorm import Sinogram, constants, fitting, sample_grid
 from rnorm.cli import EXIT_DIMENSION, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
 
 
@@ -146,20 +146,47 @@ def test_fit_exit_0_means_residual_within_tol(tmp_path, capsys):
     assert report["result"]["residual_max"] <= 0.1
 
 
-def test_fit_writes_refinement_table(tmp_path, capsys):
+def test_fit_writes_refinement_table(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(1)
     X = rng.uniform(-1.0, 1.0, size=(20, 2))
     y = X @ np.array([0.5, 0.5])
     path = tmp_path / "samples.csv"
     _write_samples(path, X, y)
     out = tmp_path / "fit"
-    code, _ = _run(
-        capsys, "fit", "--samples", str(path), "--K", "8", "--J", "9", "--levels", "2", "--out", str(out)
-    )
+    argv = ("fit", "--samples", str(path), "--K", "8", "--J", "9", "--levels", "2", "--out", str(out))
+    code, _ = _run(capsys, *argv)
     assert code == EXIT_OK
     table = (out / "refinement.csv").read_text().splitlines()
-    assert table[0] == "K,J,norm,gap"
+    assert table[0] == "K,J,norm,gap,converged"
     assert len(table) == 3
+    assert all(row.endswith(",true") for row in table[1:])
+
+    # one unconverged level fails the command, although the final fit converged
+    def last_level_unconverged(p, levels):
+        *rows, last = fitting.refinement_study(p, levels)
+        return [*rows, {**last, "converged": False}]
+
+    monkeypatch.setattr(rnorm.cli, "refinement_study", last_level_unconverged)
+    code, report = _run(capsys, *argv)
+    assert code == EXIT_SOLVER and report["result"]["converged"]
+    assert (out / "refinement.csv").read_text().splitlines()[-1].endswith(",false")
+
+
+def test_fit_levels_report_unconverged_levels(tmp_path, capsys):
+    # every level stops at the iteration cap, its gap negative at the first two;
+    # the LP optimum of level 0 is 4.4540, 13% above the first norm
+    X = fitting.disc_samples(40, 1.0, 3)
+    y = np.maximum(X @ np.array([0.6, 0.8]) - 0.2, 0.0) + np.abs(X[:, 1])
+    path = tmp_path / "samples.csv"
+    _write_samples(path, X, y)
+    out = tmp_path / "fit"
+    code, _ = _run(
+        capsys, "fit", "--samples", str(path), "--K", "16", "--J", "17", "--levels", "3", "--out", str(out)
+    )
+    assert code == EXIT_SOLVER
+    rows = [row.split(",") for row in (out / "refinement.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1], r[4]) for r in rows] == [("16", "17", "false"), ("32", "33", "false"), ("64", "65", "false")]
+    assert [float(r[2]) for r in rows] == pytest.approx([3.8747, 2.9947, 2.9926], abs=1e-4)
 
 
 def test_fit_unreachable_tolerance_exits_5(tmp_path, capsys):

@@ -356,7 +356,7 @@ class TestRefinement:
         target = lambda Z: np.abs(Z @ np.array([0.0, 1.0]))
         p = FitProblem(X, target(X), K=8, J=9, tol=1e-2)
         rows = refinement_study(p, 2, target=target, method="lp")
-        assert all(r["gap"] == 0.0 for r in rows)
+        assert all(r["gap"] == 0.0 and r["converged"] for r in rows)
         assert all(r["norm"] == pytest.approx(2.0, rel=0.25) for r in rows)
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 from typing import TextIO
 
@@ -62,29 +63,28 @@ def _version() -> str:
         return "0.0.0+local"
 
 
-def _report(config: dict, payload: dict, d: int = 2) -> dict:
-    return {
+def _emit(out_dir: str | None, args, payload: dict, extras: dict | None = None) -> None:
+    """Write the command's report, whose config echoes its flags, to stdout and,
+    with the extra files, to out_dir."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    report = {
         "version": _version(),
         "config": config,
-        "constants": constants(d).as_dict(),
+        "constants": constants(getattr(args, "d", 2)).as_dict(),
         "result": payload,
     }
-
-
-def _dump(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _emit(report: dict, out_dir: str | None, extras: dict | None = None) -> None:
-    text = _dump(report)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(text)
-        for name, content in (extras or {}).items():
+        for name, content in {"report.json": text, **(extras or {})}.items():
             with open(os.path.join(out_dir, name), "w") as fh:
                 fh.write(content)
     sys.stdout.write(text)
+
+
+def _decay_csvs(cert) -> dict:
+    """One decay_<i>.csv artifact per entry of an infinite-norm certificate."""
+    return {f"decay_{i}.csv": e.sample.to_csv() for i, e in enumerate(cert.entries)}
 
 
 class _TextFile(io.TextIOWrapper):
@@ -113,31 +113,30 @@ def _parse_profile(spec: str, d: int) -> RadialFunction:
 
 
 def cmd_radial(args) -> int:
-    config = {
-        "command": "radial", "d": args.d, "profile": args.profile, "epsilon": args.epsilon,
-    }
     f = _parse_profile(args.profile, args.d)
-    if not 0 < args.epsilon < math.inf:
+    eps = args.epsilon
+    if not 0 < eps < math.inf:
         raise ValueError("--epsilon must be positive and finite")
     rep = rnorm_radial_odd(f)
-    # dilation by epsilon scales the value by 1/epsilon (no resampling needed)
-    payload = rep.to_dict()
-    if not rep.is_infinite and args.epsilon != 1.0:
-        payload["value"] = rep.value / args.epsilon
-        if not math.isfinite(payload["value"]):
-            raise ValueError(f"--epsilon {args.epsilon} overflows the dilated value")
-        if rep.error_estimate is not None:
-            payload["error_estimate"] = rep.error_estimate / args.epsilon
-    _emit(_report(config, payload, d=args.d), args.out)
+    # f(x/eps) has the Radon profile eps^(d-1) rho(b/eps): its value, error and atom
+    # masses are rep's divided by eps, and its atoms lie eps times as far out
+    diag = dict(rep.diagnostics)
+    if "atoms" in diag:
+        diag["atoms"] = [[loc * eps, m / eps] for loc, m in diag["atoms"]]
+    value = rep.value / eps
+    overflow = math.isinf(value) and not rep.is_infinite
+    if overflow or not all(math.isfinite(m) for _, m in diag.get("atoms", ())):
+        raise ValueError(f"--epsilon {eps} overflows the dilated report")
+    error = None if rep.error_estimate is None else rep.error_estimate / eps
+    _emit(args.out, args, replace(rep, value=value, error_estimate=error, diagnostics=diag).to_dict())
     return EXIT_OK
 
 
 def cmd_grid(args) -> int:
-    config = {"command": "grid", "input": args.input, "K": args.K, "J": args.J}
     check_sinogram_size(args.K, args.J)
     f = _read(args.input, GridFunction2D.from_csv)
     rep = rnorm_grid_2d(f, K=args.K, J=args.J)
-    _emit(_report(config, rep.to_dict()), args.out, {"sinogram.csv": rep.sinogram.to_csv()})
+    _emit(args.out, args, rep.to_dict(), {"sinogram.csv": rep.sinogram.to_csv()})
     return EXIT_OK
 
 
@@ -147,13 +146,8 @@ def _parse_samples(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_fit(args) -> int:
-    config = {
-        "command": "fit", "samples": args.samples, "K": args.K, "J": args.J,
-        "tol": args.tol, "use_linear_unit": not args.no_linear_unit,
-        "levels": args.levels,
-    }
     X, y = _read(args.samples, _parse_samples)
-    p = FitProblem(X, y, K=args.K, J=args.J, tol=args.tol, use_linear_unit=not args.no_linear_unit)
+    p = FitProblem(X, y, K=args.K, J=args.J, tol=args.tol, use_linear_unit=args.use_linear_unit)
     extras, rows = {}, []
     if args.levels:
         # before the fit, so that a bad --levels fails before the long solve
@@ -163,7 +157,7 @@ def cmd_fit(args) -> int:
         ]
         extras["refinement.csv"] = "\n".join(lines) + "\n"
     fit = min_norm_fit(p)
-    _emit(_report(config, fit.to_dict()), args.out, extras)
+    _emit(args.out, args, fit.to_dict(), extras)
     return EXIT_OK if fit.converged and all(r["converged"] for r in rows) else EXIT_SOLVER
 
 
@@ -180,18 +174,13 @@ def _parse_geometry(source: TextIO) -> tuple[PwlCurvatureMeasure2D, list]:
 
 
 def cmd_diagnose(args) -> int:
-    config = {"command": "diagnose", "geometry": args.geometry}
     mu, normals = _read(args.geometry, _parse_geometry)
     cert = pwl_infinite_certificate(mu, normals)
-    extras = {
-        f"decay_{i}.csv": e.sample.to_csv() for i, e in enumerate(cert.entries)
-    }
-    _emit(_report(config, cert.to_dict()), args.out, extras)
+    _emit(args.out, args, cert.to_dict(), _decay_csvs(cert))
     return EXIT_OK
 
 
 def cmd_demo(args) -> int:
-    config = {"command": "demo", "name": args.name, "seed": args.seed}
     extras: dict[str, str] = {}
     if args.name == "parallelogram":
         payload = parallelogram_check(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -199,12 +188,12 @@ def cmd_demo(args) -> int:
         _, eq_report = pyramid_threelayer()
         cert = pwl_infinite_certificate(pyramid_geometry(), [np.array([1.0, 0.0])])
         payload = {"threelayer": eq_report, "certificate": cert.to_dict()}
-        extras = {f"decay_{i}.csv": e.sample.to_csv() for i, e in enumerate(cert.entries)}
+        extras = _decay_csvs(cert)
     elif args.name == "gap":
         payload = rbar_gap_demo(seed=args.seed)
     else:  # "sweep"; argparse choices admit no other name
         payload = {"rows": bump_finiteness_sweep([3, 5, 7], [1, 2, 3, 4, 5, 6])}
-    _emit(_report(config, payload), args.out, extras)
+    _emit(args.out, args, payload, extras)
     return EXIT_OK
 
 
@@ -234,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=64, help="even angle count over the full circle: K/2 directions")
     p.add_argument("--J", type=int, default=65, help="dictionary offset count")
     p.add_argument("--tol", type=float, default=1e-3, help="sup-norm fitting tolerance")
-    p.add_argument("--no-linear-unit", action="store_true", help="disable the free linear unit")
+    p.add_argument(
+        "--no-linear-unit", dest="use_linear_unit", action="store_false", help="disable the free linear unit"
+    )
     p.add_argument("--levels", type=int, default=0, help="refinement levels (writes refinement.csv)")
     p.add_argument("--out", help="directory for report.json + refinement.csv")
     p.set_defaults(func=cmd_fit)

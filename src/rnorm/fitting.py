@@ -141,8 +141,7 @@ def build_dictionary(p: FitProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _result_from_weights(
-    p: FitProblem, a: np.ndarray, zcols: np.ndarray, Phi: np.ndarray, L: np.ndarray,
-    gap: float, iters: int, converged: bool,
+    p: FitProblem, a: np.ndarray, zcols: np.ndarray, resid: float, gap: float, iters: int, converged: bool
 ) -> FitResult:
     W, offsets = p.atom_grid()
     kept = np.nonzero(np.abs(a) > 1e-10)[0]
@@ -153,7 +152,7 @@ def _result_from_weights(
         measure=measure,
         v=np.asarray(v, dtype=float),
         c=float(zcols[-1]),
-        residual_max=float(np.abs(Phi @ a + L @ zcols - p.y).max()),
+        residual_max=resid,
         duality_gap=gap,
         iterations=iters,
         objective=float(np.abs(a).sum()),
@@ -260,7 +259,7 @@ def min_norm_fit(
     z = x[M:-1].copy()
     resid = float(np.abs(Phi @ a_true + L @ z - y).max())
     converged = gap <= gap_tol and resid <= tau
-    return _result_from_weights(p, a_true, z, Phi, L, gap, it, converged)
+    return _result_from_weights(p, a_true, z, resid, gap, it, converged)
 
 
 def lp_oracle(p: FitProblem) -> float:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rnorm
-from rnorm import Sinogram, constants, fitting, sample_grid
+from rnorm import RadialFunction, Sinogram, bump_poly, constants, fitting, rnorm_radial_odd, sample_grid
 from rnorm.cli import EXIT_DIMENSION, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
 
 
@@ -44,6 +45,22 @@ def test_radial_dilation_scales_value(capsys):
     code, dil = _run(capsys, "radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "2.0")
     assert code == EXIT_OK
     assert dil["result"]["value"] == pytest.approx(base["result"]["value"] / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,k,eps", [(3, 2, 2.0), (5, 2, 1.5), (3, 1, 1.5)])
+def test_radial_epsilon_reports_the_dilated_profile(d, k, eps, capsys):
+    code, report = _run(capsys, "radial", "--d", str(d), "--profile", f"poly:k={k}", "--epsilon", str(eps))
+    assert code == EXIT_OK
+    exact = rnorm_radial_odd(RadialFunction(d, bump_poly(k, dilation=Fraction(eps)))).to_dict()
+    got = report["result"]
+    if exact["value"] == "infinite":
+        assert got["value"] == "infinite"
+    else:
+        assert got["value"] == pytest.approx(exact["value"], rel=1e-12)
+    atoms = exact["diagnostics"]["atoms"]
+    assert len(got["diagnostics"]["atoms"]) == len(atoms) > 0
+    for mine, theirs in zip(got["diagnostics"]["atoms"], atoms):
+        assert mine == pytest.approx(theirs, rel=1e-12)
 
 
 def test_radial_infinite_value_reported(capsys):
@@ -327,6 +344,8 @@ def _diagnose_argv(tmp_path, doc):
         # value/epsilon, the dilated value, overflows to inf
         (lambda t: ["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "1e-320"], EXIT_USAGE),
         (lambda t: ["radial", "--d", "3", "--profile", "exp-bump", "--epsilon", "1e-320"], EXIT_USAGE),
+        # the value is infinite, and an atom's dilated mass, 60/epsilon, overflows
+        (lambda t: ["radial", "--d", "5", "--profile", "poly:k=1", "--epsilon", "1e-307"], EXIT_USAGE),
         (lambda t: _diagnose_argv(t, [1, 2]), EXIT_IO),
         (lambda t: _diagnose_argv(t, {"segments": 5, "normals": [[1.0, 0.0]]}), EXIT_IO),
         (lambda t: _diagnose_argv(t, {"segments": [_SEGMENT], "normals": [[1.0, 0.0, 0.0]]}), EXIT_IO),
@@ -338,6 +357,7 @@ def _diagnose_argv(tmp_path, doc):
         "fit-tol-negative", "fit-tol-nan", "fit-levels-1", "fit-levels-negative", "fit-K-0", "fit-K-odd",
         "fit-levels-40", "fit-dictionary-too-large",
         "radial-epsilon-nan", "radial-epsilon-inf", "radial-epsilon-overflow", "radial-exp-bump-epsilon-overflow",
+        "radial-infinite-atom-overflow",
         "diagnose-list", "diagnose-segments-int",
         "diagnose-3d-normal", "diagnose-zero-normal", "out-below-a-file",
     ],
@@ -490,6 +510,26 @@ def test_removed_threads_flag_is_a_usage_error(capsys):
         main(["--threads", "1", "radial", "--d", "3", "--profile", "poly:k=2"])
     assert exc.value.code == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def test_config_echoes_each_commands_flags(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 32, 3.0).to_csv())
+    cases = [
+        (["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "1.5"],
+         {"command": "radial", "d": 3, "profile": "poly:k=2", "epsilon": 1.5}),
+        (["grid", "--input", str(grid), "--K", "32", "--J", "65"],
+         {"command": "grid", "input": str(grid), "K": 32, "J": 65}),
+        (_fit_argv(tmp_path, "--K", "8", "--J", "9", "--no-linear-unit"),
+         {"command": "fit", "samples": str(tmp_path / "samples.csv"), "K": 8, "J": 9, "tol": 1e-3,
+          "use_linear_unit": False, "levels": 0}),
+        (_diagnose_argv(tmp_path, {"segments": [_SEGMENT], "normals": [[1.0, 0.0]]}),
+         {"command": "diagnose", "geometry": str(tmp_path / "geometry.json")}),
+        (["demo", "parallelogram"], {"command": "demo", "name": "parallelogram", "seed": 0}),
+    ]
+    for argv, config in cases:
+        _, report = _run(capsys, *argv)
+        assert report["config"] == config, argv[0]
 
 
 def test_every_option_is_read_by_its_command():

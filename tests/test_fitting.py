@@ -278,7 +278,7 @@ def _reference_fit(p: FitProblem, max_iter: int):
     a_true = a / colnorm
     resid = float(np.abs(Phi @ a_true + L @ z - y).max())
     converged = gap <= gap_tol and resid <= tau_in * (1.0 + 1e-3) + 1e-9
-    return _result_from_weights(p, a_true, z, Phi, L, gap, it, converged)
+    return _result_from_weights(p, a_true, z, resid, gap, it, converged)
 
 
 def _planted_problem(N=100, K=16, J=17):

@@ -8,7 +8,7 @@ demos (infinite-norm certificates, the parallelogram-law failure, the
 linear-unit gap).
 """
 
-from .constants import Constants, constants, sphere_area
+from .constants import constants, sphere_area
 from .grids import GridFunction2D, sample_grid
 from .piecewise import (
     DistributionalProfile,
@@ -49,14 +49,12 @@ from .engine import (
 )
 from .fitting import (
     FitProblem,
-    FitResult,
     build_dictionary,
     lp_oracle,
     min_norm_fit,
-    refinement_study,
+    refinement_levels,
 )
 from .analysis import (
-    CertificateReport,
     bump_finiteness_sweep,
     parallelogram_check,
     pwl_infinite_certificate,
@@ -68,12 +66,9 @@ from .analysis import (
 
 __all__ = [
     "AtomicMeasure",
-    "CertificateReport",
-    "Constants",
     "DistributionalProfile",
     "FiniteReluNet",
     "FitProblem",
-    "FitResult",
     "GridFunction2D",
     "PiecewisePolynomial",
     "PwlCurvatureMeasure2D",
@@ -108,7 +103,7 @@ __all__ = [
     "radial_radon_profile",
     "rbar_bounds",
     "rbar_gap_demo",
-    "refinement_study",
+    "refinement_levels",
     "rnorm_finite_net",
     "rnorm_grid_2d",
     "rnorm_radial_odd",

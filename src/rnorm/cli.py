@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .constants import constants
 from .engine import rnorm_grid_2d, rnorm_radial_odd
-from .fitting import FitProblem, min_norm_fit, refinement_study
+from .fitting import FitProblem, min_norm_fit, refinement_levels
 from .grids import GridFunction2D, read_csv
 # grid_radon_2d is unused here; it stays importable from rnorm.cli
 from .radon import RadialFunction, UnsupportedDimensionError, bump_poly, check_sinogram_size, grid_radon_2d
@@ -148,17 +148,18 @@ def _parse_samples(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
 def cmd_fit(args) -> int:
     X, y = _read(args.samples, _parse_samples)
     p = FitProblem(X, y, K=args.K, J=args.J, tol=args.tol, use_linear_unit=args.use_linear_unit)
-    extras, rows = {}, []
+    extras, levels_converged = {}, True
     if args.levels:
-        # before the fit, so that a bad --levels fails before the long solve
-        rows = refinement_study(p, args.levels)
-        lines = ["K,J,norm,gap,converged"] + [
-            f"{r['K']},{r['J']},{r['norm']:.17g},{r['gap']:.17g},{str(r['converged']).lower()}" for r in rows
-        ]
+        lines = ["K,J,norm,gap,converged"]
+        # every level is built, so that a bad --levels fails, before the first solve
+        for q in refinement_levels(p, args.levels):
+            lf = min_norm_fit(q, max_iter=20_000, gap_rel=1e-4)
+            lines.append(f"{q.K},{q.J},{lf.objective:.17g},{lf.duality_gap:.17g},{str(lf.converged).lower()}")
+            levels_converged = levels_converged and lf.converged
         extras["refinement.csv"] = "\n".join(lines) + "\n"
     fit = min_norm_fit(p)
     _emit(args.out, args, fit.to_dict(), extras)
-    return EXIT_OK if fit.converged and all(r["converged"] for r in rows) else EXIT_SOLVER
+    return EXIT_OK if fit.converged and levels_converged else EXIT_SOLVER
 
 
 def _parse_geometry(source: TextIO) -> tuple[PwlCurvatureMeasure2D, list]:
@@ -185,7 +186,7 @@ def cmd_demo(args) -> int:
     if args.name == "parallelogram":
         payload = parallelogram_check(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     elif args.name == "pyramid":
-        _, eq_report = pyramid_threelayer()
+        eq_report = pyramid_threelayer()
         cert = pwl_infinite_certificate(pyramid_geometry(), [np.array([1.0, 0.0])])
         payload = {"threelayer": eq_report, "certificate": cert.to_dict()}
         extras = _decay_csvs(cert)

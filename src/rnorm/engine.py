@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -283,7 +284,8 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
         if lo == 0 and poly_eval(N, 0) != 0:
             return math.inf  # (d-1) g'(r)/r is unbounded as r -> 0
         roots = _poly_real_roots(tuple((j - 1) * c for j, c in enumerate(N)), float(lo), float(hi))
-        for r in [lo, hi] + roots:
+        # exact at each float root, as in abs_integral: a float Horner sum of N cancels near degree 100
+        for r in [lo, hi] + [Fraction(x) for x in roots]:
             best = max(best, abs(poly_eval(N, r) / r if r else poly_eval(N[1:], 0)))
     return float(best)
 

@@ -15,7 +15,7 @@ tol 0 is exact interpolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,14 +163,14 @@ def _result_from_weights(
 def min_norm_fit(
     p: FitProblem,
     max_iter: int = DEFAULT_MAX_ITER,
-    gap_tol: float | None = None,
+    gap_rel: float = 1e-6,
 ) -> FitResult:
     """First-order primal-dual solve of the tau-tube minimum-L1 program.
 
     Deterministic: zero initialization, fixed step sizes from a 100-step
     power iteration with a fixed seed.  Every GAP_CHECK_EVERY iterations it
     stops once every |residual| <= tau = max(tol, INTERPOLATION_SLACK) and the
-    duality gap is <= 1e-6 * ||y||_inf (or gap_tol); otherwise at max_iter.
+    duality gap is <= gap_rel * ||y||_inf; otherwise at max_iter.
     The iterates live in the narrower tube (tau - 1e-9) / (1 + 1e-3), so that
     converged=True means every |residual| <= tol (<= 1e-8 at tol 0).
 
@@ -184,9 +184,7 @@ def min_norm_fit(
     tau = max(p.tol, INTERPOLATION_SLACK)
     # iterate in a tube whose slack band tau_in (1 + 1e-3) + 1e-9 is tau itself
     tau_in = (tau - 1e-9) / (1.0 + 1e-3)
-    yscale = max(float(np.abs(y).max()), 1e-12)
-    if gap_tol is None:
-        gap_tol = 1e-6 * yscale
+    gap_tol = gap_rel * max(float(np.abs(y).max()), 1e-12)
 
     # column equilibration keeps the problem equivalent via weighted soft-thresholds
     colnorm = np.linalg.norm(Phi, axis=0)
@@ -284,59 +282,33 @@ def lp_oracle(p: FitProblem) -> float:
     return float(res.fun)
 
 
-def refinement_study(
-    p: FitProblem,
-    levels: int,
-    target=None,
-    seed: int = 0,
-    method: str = "primal-dual",
-    radius: float | None = None,
-    max_iter: int = 20_000,
-    gap_rel: float = 1e-4,
-) -> list[dict]:
-    """Rerun the fit doubling K and J per level; report the norm trajectory.
+def refinement_levels(
+    p: FitProblem, levels: int, target=None, seed: int = 0, radius: float | None = None
+) -> list[FitProblem]:
+    """The problems of a refinement study: level l has K 2**l angles and (J-1) 2**l + 1 offsets.
 
     When a target callable is given, the sample set is refined alongside the
     dictionary: one pool of points is drawn in the disc of the base problem's
-    sample radius, and level l uses the first N * 2**l of them (nested
-    prefixes keep the trajectory comparable across levels).  With a fixed
-    sample set and nested dictionaries the minimum could only decrease, which
-    would hide infinite-norm blow-up.  method="lp" solves each level exactly.
-    Each row carries K, J, norm, gap and converged (the level's fit met its
-    stopping rule; always true for method="lp").
+    sample radius (or this radius), and level l uses the first N * 2**l of
+    them (nested prefixes keep the trajectory comparable across levels).  With
+    a fixed sample set and nested dictionaries the minimum could only decrease,
+    which would hide infinite-norm blow-up.  Every level is built, and so
+    checked against the dictionary budget, before the caller solves any.
     """
     if levels < 2:
         raise ValueError("need at least 2 refinement levels")
-    if method not in ("primal-dual", "lp"):
-        raise ValueError(f"unknown refinement method {method!r}")
-    # level by level, so that a huge --levels fails at the first level over the
-    # budget (each level has at least 4x the entries of the one before it)
-    for level in range(levels):
-        N = p.X.shape[0] * (2**level if target is not None else 1)
-        check_dictionary_size(N, p.K * 2**level, (p.J - 1) * 2**level + 1)
-    if radius is None:
-        radius = float(np.linalg.norm(p.X, axis=1).max())
+    N = p.X.shape[0]
     if target is not None:
-        pool = disc_samples(p.X.shape[0] * 2 ** (levels - 1), radius, seed)
-    rows = []
+        # the pool is the last level's sample set: check the budget before drawing it, level
+        # by level, so that a huge count fails at the first level over it
+        for level in range(levels):
+            check_dictionary_size(N * 2**level, p.K * 2**level, (p.J - 1) * 2**level + 1)
+        if radius is None:
+            radius = float(np.linalg.norm(p.X, axis=1).max())
+        pool = disc_samples(N * 2 ** (levels - 1), radius, seed)
+    out = []
     for level in range(levels):
-        K = p.K * 2**level
-        J = (p.J - 1) * 2**level + 1
-        if target is None:
-            X, y = p.X, p.y
-        else:
-            X = pool[: p.X.shape[0] * 2**level]
-            y = np.asarray(target(X), dtype=float)
-        prob = FitProblem(
-            X, y, K=K, J=J, tol=p.tol, use_linear_unit=p.use_linear_unit,
-            offset_range=p.offset_range,
-        )
-        if method == "lp":
-            rows.append({"K": K, "J": J, "norm": lp_oracle(prob), "gap": 0.0, "converged": True})
-        else:
-            yscale = max(float(np.abs(y).max()), 1e-12)
-            fit = min_norm_fit(prob, max_iter=max_iter, gap_tol=gap_rel * yscale)
-            rows.append(
-                {"K": K, "J": J, "norm": fit.objective, "gap": fit.duality_gap, "converged": fit.converged}
-            )
-    return rows
+        X = p.X if target is None else pool[: N * 2**level]
+        y = p.y if target is None else target(X)
+        out.append(replace(p, X=X, y=y, K=p.K * 2**level, J=(p.J - 1) * 2**level + 1))
+    return out

@@ -200,12 +200,13 @@ class PiecewisePolynomial:
         for i, coeffs in enumerate(self.pieces):
             if not coeffs:
                 continue
-            lo = float(self.breakpoints[i])
-            hi = float(self.breakpoints[i + 1])
+            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
             anti = poly_antiderivative(coeffs)
-            pts = [lo] + _poly_real_roots(coeffs, lo, hi) + [hi]
-            for a, b in zip(pts, pts[1:]):
-                total += abs(float(poly_eval(anti, b)) - float(poly_eval(anti, a)))
+            # the float roots are evaluated exactly too: near degree 100 a float Horner sum cancels to noise
+            cuts = [lo] + [Fraction(r) for r in _poly_real_roots(coeffs, float(lo), float(hi))] + [hi]
+            values = [poly_eval(anti, x) for x in cuts]
+            for a, b in zip(values, values[1:]):
+                total += abs(float(b - a))
         return total
 
 

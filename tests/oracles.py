@@ -34,6 +34,16 @@ def eval_exact(p: PiecewisePolynomial, b):
     return horner(p.pieces[i], b) if i >= 0 else Fraction(0)
 
 
+def bump_poly_d3_rnorm(k: int, n: int = 2_000_000) -> float:
+    """R(f) for f(x) = (1-|x|^2)^k in d=3: 2 int_0^1 |(b g)'''| db = 2 int_0^1 |3 g'' + b g'''| db
+    with g(b) = (1-b^2)^k, by the trapezoid rule on n cells of closed forms that do not cancel."""
+    b = np.linspace(0.0, 1.0, n + 1)
+    u = 1.0 - b * b
+    g2 = -2.0 * k * u ** (k - 1) + 4.0 * k * (k - 1) * b * b * u ** (k - 2)
+    g3 = 12.0 * k * (k - 1) * b * u ** (k - 2) - 8.0 * k * (k - 1) * (k - 2) * b**3 * u ** (k - 3)
+    return 2.0 * float(np.trapezoid(np.abs(3.0 * g2 + b * g3), b))
+
+
 def grid_fourier_ray(f: GridFunction2D, w, sigmas) -> RayDecaySample:
     """|f-hat(sigma w)| by direct nonuniform summation over the grid samples."""
     w = np.asarray(w, dtype=float)

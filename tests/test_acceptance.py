@@ -32,7 +32,7 @@ from rnorm import (
     pyramid_pwl,
     pyramid_threelayer,
     rbar_gap_demo,
-    refinement_study,
+    refinement_levels,
     rnorm_finite_net,
     rnorm_grid_2d,
     rnorm_radial_odd,
@@ -255,7 +255,7 @@ def test_criterion_11_parallelogram_failure():
 
 
 def test_criterion_12_depth_separation():
-    _, eq = pyramid_threelayer()
+    eq = pyramid_threelayer()
     cert = pwl_infinite_certificate(pyramid_geometry(), [np.array([1.0, 0.0])])
     cert_ok = (
         cert.entries[0].classification == "CONSTANT" and abs(cert.entries[0].ratio - 1.0) <= 0.10
@@ -266,8 +266,7 @@ def test_criterion_12_depth_separation():
 
     X0 = np.zeros((25, 2))
     p = FitProblem(X0, pyr(X0), K=16, J=17, tol=0.0, offset_range=1.365)
-    rows = refinement_study(p, 4, target=pyr, method="lp", radius=1.3, seed=0)
-    norms = [r["norm"] for r in rows]
+    norms = [lp_oracle(q) for q in refinement_levels(p, 4, target=pyr, radius=1.3, seed=0)]
     growth = [norms[i + 1] / norms[i] - 1.0 for i in range(3)]
     grow_ok = all(g >= 0.15 for g in growth)
 
@@ -280,8 +279,7 @@ def test_criterion_12_depth_separation():
 
     Xb = np.zeros((80, 2))
     pb = FitProblem(Xb, bump(Xb), K=16, J=17, tol=0.0, offset_range=1.365)
-    ctrl = refinement_study(pb, 3, target=bump, method="lp", radius=1.3, seed=1)
-    cn = [r["norm"] for r in ctrl]
+    cn = [lp_oracle(q) for q in refinement_levels(pb, 3, target=bump, radius=1.3, seed=1)]
     ctrl_ok = abs(cn[-1] / cn[-2] - 1.0) <= 0.05
 
     ok = bool(eq["exact"]) and cert_ok and grow_ok and ctrl_ok

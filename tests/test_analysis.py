@@ -21,7 +21,7 @@ class TestPyramid:
         assert np.allclose(pyramid_pwl([0.0, 1.0], [0.0, 1.0]), [1.0, 0.0])
 
     def test_threelayer_exact_equality(self):
-        _, report = pyramid_threelayer()
+        report = pyramid_threelayer()
         assert report["exact"] is True
         assert report["max_abs_deviation"] == 0.0
         assert report["first_layer_units"] == 4

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -179,14 +180,23 @@ def test_fit_writes_refinement_table(tmp_path, capsys, monkeypatch):
     assert all(row.endswith(",true") for row in table[1:])
 
     # one unconverged level fails the command, although the final fit converged
-    def last_level_unconverged(p, levels):
-        *rows, last = fitting.refinement_study(p, levels)
-        return [*rows, {**last, "converged": False}]
+    def last_level_unconverged(q, **kwargs):
+        fit = fitting.min_norm_fit(q, **kwargs)
+        return dataclasses.replace(fit, converged=fit.converged and q.K != 16)
 
-    monkeypatch.setattr(rnorm.cli, "refinement_study", last_level_unconverged)
+    monkeypatch.setattr(rnorm.cli, "min_norm_fit", last_level_unconverged)
     code, report = _run(capsys, *argv)
     assert code == EXIT_SOLVER and report["result"]["converged"]
     assert (out / "refinement.csv").read_text().splitlines()[-1].endswith(",false")
+
+
+def test_fit_builds_every_level_before_the_first_solve(tmp_path, capsys, monkeypatch):
+    # --levels 40 overflows the dictionary budget at its eighth level, before any solve
+    def solve(*args, **kwargs):
+        raise AssertionError("a level was solved before every level was built")
+
+    monkeypatch.setattr(rnorm.cli, "min_norm_fit", solve)
+    assert _run_failing(capsys, *_fit_argv(tmp_path, "--levels", "40")) == EXIT_USAGE
 
 
 def test_fit_levels_report_unconverged_levels(tmp_path, capsys):

@@ -22,7 +22,7 @@ from rnorm.engine import _exp_bump_factors, _exp_bump_term
 from rnorm.piecewise import PiecewisePolynomial
 from rnorm.radon import UnsupportedDimensionError
 
-from oracles import exp_bump_laplacian_max, horner
+from oracles import bump_poly_d3_rnorm, exp_bump_laplacian_max, horner
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -151,6 +151,12 @@ class TestRadial:
             assert np.max(np.abs(central - exact)) <= 1e-6 * np.max(np.abs(exact))
             previous = _exp_bump_term(Q[k], 2 * k)
 
+    @pytest.mark.parametrize("k", [50, 80])
+    def test_high_degree_bump_matches_the_dense_quadrature(self, k):
+        # a float Horner sum at the float roots read 103.53 for k=50 and 2.4e11 for k=80
+        value = rnorm_radial_odd(RadialFunction(3, bump_poly(k))).value
+        assert value == pytest.approx(bump_poly_d3_rnorm(k), rel=1e-8)
+
     def test_infinite_case_reports_diagnostics(self):
         rep = rnorm_radial_odd(RadialFunction(5, bump_poly(1)))
         assert rep.is_infinite
@@ -205,8 +211,11 @@ class TestGradientAtInfinity:
 
 class TestLaplacianBound:
     def test_radial_closed_form_at_origin(self):
-        # g = (1-r^2)^k: |Delta f|(0) = d * |g''(0)| = 2 d k.
-        assert laplacian_lower_bound(RadialFunction(3, bump_poly(4))) == pytest.approx(24.0, rel=1e-12)
+        # g = (1-r^2)^k: |Delta f|(0) = d * |g''(0)| = 2 d k.  At k >= 80 a float Horner
+        # sum at the float critical points read up to 5.6e19
+        for d, k in [(3, 4), (3, 80), (3, 120), (5, 80), (5, 120)]:
+            bound = laplacian_lower_bound(RadialFunction(d, bump_poly(k)))
+            assert bound == pytest.approx(2 * d * k, rel=1e-12), (d, k)
 
     def test_exp_bump(self):
         # the oracle gives 7.1244950673416... at d=3 and 6.5642459377566... at d=5

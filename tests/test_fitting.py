@@ -14,7 +14,7 @@ from rnorm import (
     even_part,
     lp_oracle,
     min_norm_fit,
-    refinement_study,
+    refinement_levels,
 )
 from rnorm.fitting import disc_samples
 
@@ -336,28 +336,43 @@ class TestRefinement:
         X = disc_samples(10, 1.0, 0)
         p = FitProblem(X, np.zeros(10), K=8, J=9)
         with pytest.raises(ValueError):
-            refinement_study(p, 1)
-        with pytest.raises(ValueError):
-            refinement_study(p, 2, method="newton")
+            refinement_levels(p, 1)
         for target in (None, lambda Z: Z[:, 0]):
             with pytest.raises(ValueError, match="exceeds"):
-                refinement_study(p, 40, target=target)
+                refinement_levels(p, 40, target=target)
 
     def test_levels_double_grid_and_samples(self):
         X = disc_samples(12, 1.0, 1)
         p = FitProblem(X, X @ np.array([1.0, 0.0]), K=8, J=9, tol=1e-2)
-        rows = refinement_study(p, 2, target=lambda Z: Z @ np.array([1.0, 0.0]), max_iter=1500)
-        assert [r["K"] for r in rows] == [8, 16]
-        assert [r["J"] for r in rows] == [9, 17]
-        assert all(r["norm"] <= 1e-4 for r in rows)  # linear target is free
+        levels = refinement_levels(p, 2, target=lambda Z: Z @ np.array([1.0, 0.0]))
+        assert [(q.K, q.J, q.X.shape[0]) for q in levels] == [(8, 9, 12), (16, 17, 24)]
+        # linear target is free
+        assert all(min_norm_fit(q, max_iter=1500, gap_rel=1e-4).objective <= 1e-4 for q in levels)
 
-    def test_lp_method_reports_zero_gap(self):
+    def test_target_levels_are_nested_prefixes_of_one_pool(self):
+        X = disc_samples(12, 1.0, 1)
+        target = lambda Z: np.abs(Z[:, 0])
+        p = FitProblem(X, target(X), K=8, J=9, tol=1e-2, offset_range=1.5)
+        levels = refinement_levels(p, 3, target=target, radius=1.2, seed=4)
+        assert [q.X.shape[0] for q in levels] == [12, 24, 48]
+        for small, large in zip(levels, levels[1:]):
+            assert np.array_equal(large.X[: small.X.shape[0]], small.X)
+        assert np.array_equal(levels[-1].X, disc_samples(48, 1.2, 4))
+        assert all(np.array_equal(q.y, target(q.X)) and q.offset_range == 1.5 and q.tol == 1e-2 for q in levels)
+
+    def test_fixed_samples_without_a_target(self):
+        X = disc_samples(12, 1.0, 1)
+        p = FitProblem(X, X[:, 1], K=8, J=9, use_linear_unit=False)
+        for q in refinement_levels(p, 2):
+            assert np.array_equal(q.X, p.X) and np.array_equal(q.y, p.y)
+            assert q.offset_range == p.offset_range and not q.use_linear_unit
+
+    def test_lp_levels_reach_the_norm(self):
         X = disc_samples(12, 1.0, 2)
         target = lambda Z: np.abs(Z @ np.array([0.0, 1.0]))
         p = FitProblem(X, target(X), K=8, J=9, tol=1e-2)
-        rows = refinement_study(p, 2, target=target, method="lp")
-        assert all(r["gap"] == 0.0 and r["converged"] for r in rows)
-        assert all(r["norm"] == pytest.approx(2.0, rel=0.25) for r in rows)
+        norms = [lp_oracle(q) for q in refinement_levels(p, 2, target=target)]
+        assert all(n == pytest.approx(2.0, rel=0.25) for n in norms)
 
 
 def _full_circle_lp(p: FitProblem) -> float:

@@ -164,9 +164,10 @@ def rbar_gap_demo(seed: int = 0) -> dict:
     """The linear-unit gap on f(x,y) = |x| + y.
 
     The exact norm without the linear unit exceeds the norm with it by twice
-    the gradient at infinity: bracket [2, 4], both ends attained by fits of
-    200 seeded samples in the disc of radius 2 on 128 angles (64 directions)
-    x 65 offsets, at tolerance 1e-3 and at most 15 000 iterations each.
+    the gradient at infinity: bracket [2, 4], approached by fits of 200
+    seeded samples in the disc of radius 2 on 128 angles (64 directions) x 65
+    offsets at tolerance 1e-3. Each fit stops at 15 000 iterations, and
+    `rnorm demo gap` exits 5 while either is unconverged.
     """
     net = FiniteReluNet(
         2,

@@ -63,9 +63,10 @@ def _version() -> str:
         return "0.0.0+local"
 
 
-def _emit(out_dir: str | None, args, payload: dict, extras: dict | None = None) -> None:
+def _emit(out_dir: str | None, args, payload: dict, extras: dict | None = None, converged: bool = True) -> int:
     """Write the command's report, whose config echoes its flags, to stdout and,
-    with the extra files, to out_dir."""
+    with the extra files, to out_dir; return its exit code, EXIT_SOLVER when a
+    solve behind the report did not converge."""
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     report = {
         "version": _version(),
@@ -80,6 +81,7 @@ def _emit(out_dir: str | None, args, payload: dict, extras: dict | None = None) 
             with open(os.path.join(out_dir, name), "w") as fh:
                 fh.write(content)
     sys.stdout.write(text)
+    return EXIT_OK if converged else EXIT_SOLVER
 
 
 def _decay_csvs(cert) -> dict:
@@ -128,16 +130,14 @@ def cmd_radial(args) -> int:
     if overflow or not all(math.isfinite(m) for _, m in diag.get("atoms", ())):
         raise ValueError(f"--epsilon {eps} overflows the dilated report")
     error = None if rep.error_estimate is None else rep.error_estimate / eps
-    _emit(args.out, args, replace(rep, value=value, error_estimate=error, diagnostics=diag).to_dict())
-    return EXIT_OK
+    return _emit(args.out, args, replace(rep, value=value, error_estimate=error, diagnostics=diag).to_dict())
 
 
 def cmd_grid(args) -> int:
     check_sinogram_size(args.K, args.J)
     f = _read(args.input, GridFunction2D.from_csv)
     rep = rnorm_grid_2d(f, K=args.K, J=args.J)
-    _emit(args.out, args, rep.to_dict(), {"sinogram.csv": rep.sinogram.to_csv()})
-    return EXIT_OK
+    return _emit(args.out, args, rep.to_dict(), {"sinogram.csv": rep.sinogram.to_csv()})
 
 
 def _parse_samples(source: TextIO) -> tuple[np.ndarray, np.ndarray]:
@@ -158,8 +158,7 @@ def cmd_fit(args) -> int:
             levels_converged = levels_converged and lf.converged
         extras["refinement.csv"] = "\n".join(lines) + "\n"
     fit = min_norm_fit(p)
-    _emit(args.out, args, fit.to_dict(), extras)
-    return EXIT_OK if fit.converged and levels_converged else EXIT_SOLVER
+    return _emit(args.out, args, fit.to_dict(), extras, fit.converged and levels_converged)
 
 
 def _parse_geometry(source: TextIO) -> tuple[PwlCurvatureMeasure2D, list]:
@@ -177,12 +176,12 @@ def _parse_geometry(source: TextIO) -> tuple[PwlCurvatureMeasure2D, list]:
 def cmd_diagnose(args) -> int:
     mu, normals = _read(args.geometry, _parse_geometry)
     cert = pwl_infinite_certificate(mu, normals)
-    _emit(args.out, args, cert.to_dict(), _decay_csvs(cert))
-    return EXIT_OK
+    return _emit(args.out, args, cert.to_dict(), _decay_csvs(cert))
 
 
 def cmd_demo(args) -> int:
     extras: dict[str, str] = {}
+    converged = True
     if args.name == "parallelogram":
         payload = parallelogram_check(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     elif args.name == "pyramid":
@@ -192,10 +191,10 @@ def cmd_demo(args) -> int:
         extras = _decay_csvs(cert)
     elif args.name == "gap":
         payload = rbar_gap_demo(seed=args.seed)
+        converged = all(fit["converged"] for fit in payload["fits"].values())
     else:  # "sweep"; argparse choices admit no other name
         payload = {"rows": bump_finiteness_sweep([3, 5, 7], [1, 2, 3, 4, 5, 6])}
-    _emit(args.out, args, payload, extras)
-    return EXIT_OK
+    return _emit(args.out, args, payload, extras, converged)
 
 
 def build_parser() -> argparse.ArgumentParser:

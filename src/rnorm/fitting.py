@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import AtomicMeasure, FiniteReluNet, even_part
+from .engine import AtomicMeasure, even_part
 from .grids import finite_copy
 from .radon import MAX_ARRAY_ENTRIES, OFFSET_MARGIN, UnsupportedDimensionError
 
@@ -98,12 +98,6 @@ class FitResult:
     iterations: int
     objective: float
     converged: bool
-
-    def as_net(self) -> FiniteReluNet:
-        """Equivalent finite net (d=2); the -[-b]_+ dictionary offsets fold into the bias."""
-        units = tuple((wt, w, b) for w, b, wt in self.measure.atoms)
-        shift = sum(wt * max(-b, 0.0) for _, b, wt in self.measure.atoms)
-        return FiniteReluNet(d=2, units=units, v=self.v, c=self.c - shift)
 
     def to_dict(self) -> dict:
         return {

@@ -63,10 +63,6 @@ class GridFunction2D:
     def half_diagonal(self) -> float:
         return self.half_extent * np.sqrt(2.0)
 
-    def axis(self) -> np.ndarray:
-        n = self.n
-        return (np.arange(n) - (n - 1) / 2.0) * self.h
-
     def boundary_leakage(self) -> float:
         """Largest boundary-ring magnitude relative to the grid max."""
         v = self.values
@@ -80,9 +76,6 @@ class GridFunction2D:
             float(np.abs(v[:, -1]).max()),
         )
         return ring / peak
-
-    def to_csv(self) -> str:
-        return write_table_csv("x,y,value", self.axis(), self.axis(), self.values)
 
     @staticmethod
     def from_csv(source: str | TextIO) -> "GridFunction2D":

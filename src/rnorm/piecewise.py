@@ -144,7 +144,7 @@ class PiecewisePolynomial:
         for a, b in zip(bps, bps[1:]):
             if not float(b) - float(a) > BREAKPOINT_TOL:
                 raise ValueError("breakpoints must be strictly increasing")
-        if self.breakpoints and len(self.pieces) != len(self.breakpoints) - 1:
+        if len(self.pieces) != max(len(self.breakpoints) - 1, 0):
             raise ValueError("need exactly one piece per breakpoint interval")
         object.__setattr__(self, "breakpoints", tuple(bps))
         object.__setattr__(
@@ -169,13 +169,11 @@ class PiecewisePolynomial:
         return np.where(inside, np.minimum(i, n - 1), -1)
 
     def __call__(self, b):
+        """p at b, or at each point of an array b: poly_eval at Fraction(b), rounded once; 0 off the support."""
         x = np.asarray(b, dtype=float)
-        index = self._piece_index(x)
-        out = np.zeros(x.shape)
-        for i, coeffs in enumerate(self.pieces):
-            at = index == i
-            out[at] = np.polyval([float(c) for c in reversed(coeffs)], x[at])
-        return float(out) if out.ndim == 0 else out
+        points = zip(x.ravel().tolist(), self._piece_index(x).ravel().tolist())
+        out = np.array([float(poly_eval(self.pieces[i], Fraction(v))) if i >= 0 else 0.0 for v, i in points])
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def boundary_jumps(self) -> list[tuple]:
         """(location, jump) at each breakpoint; jump = right limit - left limit."""

@@ -6,12 +6,11 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
 
 import numpy as np
 
 from .constants import constants
-from .grids import AXIS_TOL, GridFunction2D, finite_copy, read_table_csv, uniform_step, write_table_csv
+from .grids import AXIS_TOL, GridFunction2D, finite_copy, uniform_step, write_table_csv
 from .piecewise import (
     PiecewisePolynomial,
     poly_antiderivative,
@@ -76,11 +75,6 @@ class Sinogram:
 
     def to_csv(self) -> str:
         return write_table_csv("theta,b,value", self.angles, self.offsets, self.values)
-
-    @staticmethod
-    def from_csv(source: str | TextIO) -> "Sinogram":
-        """The sinogram to_csv writes; malformed axes raise as in the constructor."""
-        return Sinogram(*read_table_csv(source, "theta,b,value"))
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,38 @@ from fractions import Fraction
 
 import numpy as np
 
-from rnorm import GridFunction2D, PiecewisePolynomial, RayDecaySample
+from rnorm import FiniteReluNet, GridFunction2D, PiecewisePolynomial, RayDecaySample, Sinogram, constants
+from rnorm.fitting import FitResult
+from rnorm.grids import read_table_csv, write_table_csv
+
+
+def grid_axis(f: GridFunction2D) -> np.ndarray:
+    """The coordinates x_i = (i - (n-1)/2) h of f's samples along either axis."""
+    return (np.arange(f.n) - (f.n - 1) / 2.0) * f.h
 
 
 def grid_meshgrid(f: GridFunction2D) -> tuple[np.ndarray, np.ndarray]:
     """The coordinate arrays (X, Y) of f's samples, indexed like f.values."""
-    ax = f.axis()
+    ax = grid_axis(f)
     return np.meshgrid(ax, ax, indexing="ij")
+
+
+def grid_to_csv(f: GridFunction2D) -> str:
+    """The x,y,value CSV that GridFunction2D.from_csv reads back to f."""
+    ax = grid_axis(f)
+    return write_table_csv("x,y,value", ax, ax, f.values)
+
+
+def sinogram_from_csv(source) -> Sinogram:
+    """The sinogram that Sinogram.to_csv wrote; malformed axes raise as in the constructor."""
+    return Sinogram(*read_table_csv(source, "theta,b,value"))
+
+
+def fit_as_net(fit: FitResult) -> FiniteReluNet:
+    """The d=2 finite net of a fit; the -[-b]_+ dictionary offsets fold into the bias."""
+    units = tuple((wt, w, b) for w, b, wt in fit.measure.atoms)
+    shift = sum(wt * max(-b, 0.0) for _, b, wt in fit.measure.atoms)
+    return FiniteReluNet(d=2, units=units, v=fit.v, c=fit.c - shift)
 
 
 def grid_integral(f: GridFunction2D) -> float:
@@ -55,6 +80,27 @@ def grid_fourier_ray(f: GridFunction2D, w, sigmas) -> RayDecaySample:
     for i, s in enumerate(sig):
         mags[i] = abs(np.sum(v * np.exp(-1j * 2.0 * math.pi * s * t))) * f.h**2
     return RayDecaySample(w, sig, mags)
+
+
+def radial_rnorm_2d(g, R: float, L: float, n: int = 2**16) -> float:
+    """R(f) for a radial f = g(|x|) in d=2 that vanishes beyond |x| = R, by criterion 6's formula
+    gamma_2 2 pi || |sigma|^3 rho ||_1 on n FFT offsets over [-L, L) (L >= 4R keeps the
+    periodic images apart), with the Abel transform rho(b) = 2 int_0^sqrt(R^2-b^2) g(sqrt(b^2+s^2)) ds
+    by 200-node Gauss-Legendre in s."""
+    h = 2.0 * L / n
+    b = (np.arange(n) - n / 2) * h
+    inside = np.abs(b) < R
+    bi = b[inside]
+    half = np.sqrt(R * R - bi * bi) / 2.0
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    rho = np.zeros(n)
+    for x, w in zip(nodes, weights):
+        s = half * (1.0 + x)
+        rho[inside] += w * g(np.sqrt(bi * bi + s * s))
+    rho[inside] *= 2.0 * half
+    xi = 2.0 * math.pi * np.fft.fftfreq(n, h)
+    filt = np.fft.ifft(np.fft.fft(rho) * np.abs(xi) ** 3).real
+    return constants(2).gamma_d * 2.0 * math.pi * float(np.abs(filt).sum()) * h
 
 
 def exp_bump_laplacian(r, d: int):

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rnorm
-from rnorm import RadialFunction, Sinogram, bump_poly, constants, fitting, rnorm_radial_odd, sample_grid
+from rnorm import RadialFunction, bump_poly, constants, fitting, rnorm_radial_odd, sample_grid
 from rnorm.cli import EXIT_DIMENSION, EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, build_parser, main
+
+from oracles import grid_to_csv, sinogram_from_csv
 
 
 def _reject_constant(name):
@@ -85,7 +87,7 @@ def test_radial_bad_profile_exits_2(capsys):
 def test_grid_zero_function(tmp_path, capsys):
     f = sample_grid(lambda X, Y: 0.0 * X, 32, 2.0)
     path = tmp_path / "zeros.csv"
-    path.write_text(f.to_csv())
+    path.write_text(grid_to_csv(f))
     out = tmp_path / "out"
     code, report = _run(capsys, "grid", "--input", str(path), "--K", "32", "--J", "65", "--out", str(out))
     assert code == EXIT_OK
@@ -97,11 +99,11 @@ def test_grid_zero_function(tmp_path, capsys):
 def test_grid_sinogram_csv_sums_to_the_reported_value(tmp_path, capsys):
     f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), 32, 6.0)
     path = tmp_path / "gauss.csv"
-    path.write_text(f.to_csv())
+    path.write_text(grid_to_csv(f))
     out = tmp_path / "out"
     code, report = _run(capsys, "grid", "--input", str(path), "--K", "32", "--J", "65", "--out", str(out))
     assert code == EXIT_OK
-    sino = Sinogram.from_csv((out / "sinogram.csv").read_text())
+    sino = sinogram_from_csv((out / "sinogram.csv").read_text())
     assert sino.values.shape == (32, 65)
     value = report["result"]["value"]
     assert value > 0
@@ -241,7 +243,7 @@ def test_grid_csv_is_parsed_from_the_stream(tmp_path):
 
     f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), 256, 8.0)
     path = tmp_path / "grid.csv"
-    path.write_text(f.to_csv())
+    path.write_text(grid_to_csv(f))
     size = path.stat().st_size
     # the stream's len() is the file size, as the len() of its text was
     assert _read(str(path), len) == size
@@ -399,7 +401,7 @@ def _assert_rejected(command, flag, text):
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)
 _GRID_ROWS = [
     [float(v) for v in line.split(",")]
-    for line in sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 16, 2.0).to_csv().splitlines()[1:]
+    for line in grid_to_csv(sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 16, 2.0)).splitlines()[1:]
 ]
 
 
@@ -501,6 +503,19 @@ def test_demo_sweep(capsys):
     assert all(row["threshold_ok"] for row in report["result"]["rows"])
 
 
+@pytest.mark.parametrize(
+    "flags, expected", [((True, True), EXIT_OK), ((True, False), EXIT_SOLVER), ((False, True), EXIT_SOLVER)]
+)
+def test_demo_gap_exits_5_while_either_fit_is_unconverged(monkeypatch, capsys, flags, expected):
+    # the demo's two 15 000-iteration solves are replaced by a payload with the given flags
+    names = ("with_linear_unit", "without_linear_unit")
+    payload = {"fits": {name: {"converged": flag} for name, flag in zip(names, flags)}}
+    monkeypatch.setattr(rnorm.cli, "rbar_gap_demo", lambda seed: payload)
+    code, report = _run(capsys, "demo", "gap", "--seed", "4")
+    assert code == expected
+    assert report["result"] == payload and report["config"]["seed"] == 4
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     rng = np.random.default_rng(3)
     X = rng.uniform(-1.0, 1.0, size=(20, 2))
@@ -524,7 +539,7 @@ def test_removed_threads_flag_is_a_usage_error(capsys):
 
 def test_config_echoes_each_commands_flags(tmp_path, capsys):
     grid = tmp_path / "grid.csv"
-    grid.write_text(sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 32, 3.0).to_csv())
+    grid.write_text(grid_to_csv(sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 32, 3.0)))
     cases = [
         (["radial", "--d", "3", "--profile", "poly:k=2", "--epsilon", "1.5"],
          {"command": "radial", "d": 3, "profile": "poly:k=2", "epsilon": 1.5}),

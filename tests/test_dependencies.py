@@ -36,8 +36,9 @@ grid = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2)), 16, 1.0)
 rnorm.radon.grid_radon_2d(grid, 32, 64)
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "grid.csv")
+    ax = (np.arange(grid.n) - (grid.n - 1) / 2.0) * grid.h
     with open(path, "w") as fh:
-        fh.write(grid.to_csv())
+        fh.write(rnorm.grids.write_table_csv("x,y,value", ax, ax, grid.values))
     with contextlib.redirect_stdout(io.StringIO()):
         code = rnorm.cli.main(["grid", "--input", path, "--K", "32", "--J", "64", "--out", os.path.join(tmp, "out")])
     assert code == 0, code
@@ -105,3 +106,25 @@ def test_arrays_are_frozen_only_by_the_value_type_helper():
             if isinstance(node, ast.Attribute) and node.attr in ("setflags", "writeable"):
                 freezing.add((path.name, id(node) in helper))
     assert freezing == {("grids.py", True)}
+
+
+def test_cli_exit_codes_come_from_the_report_writer():
+    # cli._emit is the one place that turns a report into EXIT_OK or EXIT_SOLVER: every command
+    # returns what it returns
+    tree = ast.parse((ROOT / "src" / "rnorm" / "cli.py").read_text())
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(commands) == 5
+    for f in commands:
+        returns = [n for n in ast.walk(f) if isinstance(n, ast.Return)]
+        assert returns and all(
+            isinstance(r.value, ast.Call) and isinstance(r.value.func, ast.Name) and r.value.func.id == "_emit"
+            for r in returns
+        ), f.name
+    readers = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+        if isinstance(n, ast.Name) and n.id in ("EXIT_OK", "EXIT_SOLVER")
+    }
+    assert readers == {"_emit"}

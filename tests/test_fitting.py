@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rnorm import (
     AtomicMeasure,
-    FiniteReluNet,
     FitProblem,
     UnsupportedDimensionError,
     build_dictionary,
@@ -17,6 +16,8 @@ from rnorm import (
     refinement_levels,
 )
 from rnorm.fitting import disc_samples
+
+from oracles import fit_as_net
 
 
 class TestAtomicMeasure:
@@ -205,7 +206,7 @@ class TestSolver:
         X = disc_samples(50, 1.2, 5)
         y = np.abs(X[:, 0]) - 0.3 * X[:, 1]
         fit = min_norm_fit(FitProblem(X, y, K=16, J=17, tol=1e-3))
-        net = fit.as_net()
+        net = fit_as_net(fit)
         assert np.abs(net(X) - y).max() <= fit.residual_max + 1e-8
 
     def test_matches_lp_oracle(self):

@@ -19,6 +19,7 @@ from rnorm.piecewise import (
     profile_l1,
     pw_derivative,
 )
+from rnorm.radon import bump_poly
 
 from oracles import eval_exact, horner
 
@@ -59,6 +60,12 @@ class TestPiecewisePolynomial:
         with pytest.raises(ValueError):
             PiecewisePolynomial((0, 1, 2), ((1,),))
 
+    @pytest.mark.parametrize("breakpoints", [(), (0,)])
+    def test_pieces_need_breakpoints(self, breakpoints):
+        with pytest.raises(ValueError, match="one piece per breakpoint interval"):
+            PiecewisePolynomial(breakpoints, ((1,),))
+        assert PiecewisePolynomial(breakpoints, ()).abs_integral() == 0.0
+
     def test_compact_evaluation(self):
         p = PiecewisePolynomial((0, 1), ((0, 1),))  # b on [0, 1]
         assert p(0.5) == 0.5
@@ -75,7 +82,7 @@ class TestPiecewisePolynomial:
             if not bps[0] <= x <= bps[-1]:
                 return 0.0
             i = max(i for i in range(len(p.pieces)) if bps[i] <= x)
-            return float(poly_eval(p.pieces[i], x))
+            return float(poly_eval(p.pieces[i], Fraction(x)))
 
         pieces = ((1, 2), (Fraction(1, 7), 0, -3), (), (Fraction(-5, 3), 1, 0, 2))
         bps = (-1, Fraction(1, 3), 1, 2, Fraction(7, 2))
@@ -88,6 +95,12 @@ class TestPiecewisePolynomial:
             for x in (xs[0], np.float64(edges[0] - 1.0), np.array(edges[-1] + 1.0)):
                 value = p(x)
                 assert type(value) is float and value == pointwise(p, float(x))
+
+    @pytest.mark.parametrize("b", [0.9, 0.6])
+    def test_high_degree_evaluation_is_exact(self, b):
+        # at these points a float Horner sum of the degree-160 coefficients cancels to noise
+        assert bump_poly(80)(b) == pytest.approx((1.0 - b * b) ** 80, rel=1e-12)
+        assert bump_poly(80)(np.array([b]))[0] == bump_poly(80)(b)
 
     def test_exact_evaluation_keeps_fractions(self):
         p = _bump_pw(3)

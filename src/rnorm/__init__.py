@@ -15,7 +15,6 @@ from .piecewise import (
     PiecewisePolynomial,
     profile_derivative,
     profile_l1,
-    pw_derivative,
 )
 from .radon import (
     RadialFunction,
@@ -94,7 +93,6 @@ __all__ = [
     "parallelogram_check",
     "profile_derivative",
     "profile_l1",
-    "pw_derivative",
     "pwl_fourier_ray",
     "pwl_infinite_certificate",
     "pyramid_geometry",

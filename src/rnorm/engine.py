@@ -181,10 +181,11 @@ def _exp_bump_term(poly, power: int):
 def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
     """Exact R-norm of a radial function in odd dimension d >= 3.
 
-    Value is 2/(d-2)! times the half-line total variation of the (d+1)-th
-    distributional derivative of the Radon profile; by evenness this equals
-    the full-line total variation divided by (d-2)!, which counts each
-    boundary atom once and halves any atom sitting exactly at b = 0.
+    The value is the full-line total variation of rho^(d+1), the (d+1)-th distributional
+    derivative of the Radon profile rho, over (d-2)!: the total variation of the measure
+    rho^(d+1)(b) db / (kappa_d |S^(d-2)|) on S^(d-1) x R that represents f, where
+    kappa_d = (-1)^((d-1)/2) (d-2)! |S^(d-1)|/|S^(d-2)|.  diagnostics.atoms are the Dirac
+    atoms (location, mass) of rho^(d+1), not the measure's masses.
     """
     d = f.d
     if d % 2 == 0 or d < 3:

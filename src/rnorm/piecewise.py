@@ -1,11 +1,10 @@
 """Exact piecewise-polynomial calculus with distributional (Dirac) bookkeeping.
 
-Polynomials are coefficient lists in ascending powers.  Coefficients are kept
-as exact `Fraction`s whenever the inputs are rational, so repeated
-differentiation and the |polynomial| integrals stay exact up to the float
-conversion at the very end.  Evaluation at a rational point runs on integers:
-Horner's rule on the numerators over one common denominator, with a single
-`Fraction` built for the result.
+Polynomials are coefficient lists in ascending powers.  A `PiecewisePolynomial`
+holds `Fraction`s only, a float read as the shortest decimal that rounds to it,
+so derivatives, jumps and antiderivatives are exact and compared exactly.
+Evaluation at a rational point runs on integers: Horner's rule on the numerators
+over one common denominator, with a single `Fraction` built for the result.
 """
 
 from __future__ import annotations
@@ -17,22 +16,20 @@ from numbers import Rational
 
 import numpy as np
 
-BREAKPOINT_TOL = 1e-12
-
-Coeffs = tuple
 _RATIONAL = (int, Fraction)
 
 
-def _as_exact(x):
-    """Promote ints/Fractions untouched, leave floats as floats; a NaN or inf raises ValueError."""
+def _as_exact(x) -> Fraction:
+    """x as a Fraction of Python ints: an integer or Fraction keeps its value, a float becomes the
+    shortest decimal that rounds to it (0.1 is 1/10); a NaN or inf raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, Rational):
-        return Fraction(x)
+        return Fraction(int(x.numerator), int(x.denominator))
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"piecewise-polynomial breakpoints and coefficients must be finite, got {x}")
-    return x
+        raise ValueError(f"exact calculus needs finite numbers, got {x}")
+    return Fraction(repr(x))
 
 
 def poly_trim(coeffs) -> tuple:
@@ -88,27 +85,31 @@ def poly_derivative(coeffs):
 
 
 def poly_antiderivative(coeffs):
-    out = [0]
-    for i, c in enumerate(coeffs):
-        if isinstance(c, Rational):
-            out.append(Fraction(c, i + 1))
-        else:
-            out.append(c / (i + 1))
-    return poly_trim(tuple(out))
+    return poly_trim((0,) + tuple(Fraction(c, i + 1) for i, c in enumerate(coeffs)))
+
+
+def _deflate(coeffs, root):
+    """coeffs divided by (x - root) while root is a root: synthetic division on the integer
+    numerators, which stay integers by Gauss's lemma as b x - a is primitive for root = a/b."""
+    a, b = root.numerator, root.denominator
+    D = math.lcm(*(c.denominator for c in coeffs))
+    N, scale = [c.numerator * (D // c.denominator) for c in coeffs], Fraction(1, D)
+    while len(N) > 1 and poly_eval(N, root) == 0:
+        q = [0]
+        for n in reversed(N[1:]):
+            q.append((n + a * q[-1]) // b)
+        N, scale = q[:0:-1], scale * b
+    return tuple(n * scale for n in N)
 
 
 def _poly_real_roots(coeffs, lo: float, hi: float) -> list[float]:
-    """Real roots of the polynomial strictly inside (lo, hi).
-
-    Companion-matrix roots followed by a few Newton polish steps; tolerance
-    matches the 1e-12 breakpoint convention of the symbolic pipelines.
-    """
-    cf = [float(c) for c in coeffs]
-    cf = list(poly_trim(tuple(cf)))
+    """Real roots of the polynomial strictly inside (lo, hi): companion-matrix roots polished
+    by a few Newton steps, those within 1e-12 of the span of each other merged."""
+    cf = poly_trim(tuple(float(c) for c in coeffs))
     if len(cf) <= 1:
         return []
     rts = np.roots(cf[::-1])
-    dcf = [float(c) for c in poly_derivative(cf)]
+    dcf = poly_derivative(cf)
     out = []
     span = max(hi - lo, 1.0)
     for r in rts:
@@ -142,7 +143,7 @@ class PiecewisePolynomial:
     def __post_init__(self):
         bps = [_as_exact(b) for b in self.breakpoints]
         for a, b in zip(bps, bps[1:]):
-            if not float(b) - float(a) > BREAKPOINT_TOL:
+            if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")
         if len(self.pieces) != max(len(self.breakpoints) - 1, 0):
             raise ValueError("need exactly one piece per breakpoint interval")
@@ -183,7 +184,7 @@ class PiecewisePolynomial:
             left = poly_eval(self.pieces[idx - 1], bp) if idx > 0 else 0
             right = poly_eval(self.pieces[idx], bp) if idx < n else 0
             jump = right - left
-            if jump != 0 and abs(float(jump)) > 1e-14 * (1.0 + abs(float(left)) + abs(float(right))):
+            if jump != 0:
                 out.append((bp, jump))
         return out
 
@@ -192,15 +193,17 @@ class PiecewisePolynomial:
 
     def abs_integral(self) -> float:
         """Exact integral of |p| over its support."""
-        if not self.pieces or self.is_zero:
-            return 0.0
         total = 0.0
         for i, coeffs in enumerate(self.pieces):
             if not coeffs:
                 continue
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
             anti = poly_antiderivative(coeffs)
-            # the float roots are evaluated exactly too: near degree 100 a float Horner sum cancels to noise
+            # a root of multiplicity near k at a breakpoint scatters the float companion-matrix roots, so
+            # divide the exact breakpoint roots out first; the float roots left are evaluated exactly too,
+            # as near degree 100 a float Horner sum cancels to noise
+            for bp in self.breakpoints:
+                coeffs = _deflate(coeffs, bp)
             cuts = [lo] + [Fraction(r) for r in _poly_real_roots(coeffs, float(lo), float(hi))] + [hi]
             values = [poly_eval(anti, x) for x in cuts]
             for a, b in zip(values, values[1:]):
@@ -221,25 +224,16 @@ class DistributionalProfile:
     atom_derivative_order: int = 0
 
     def __post_init__(self):
-        cleaned = tuple((loc, m) for loc, m in self.atoms if m != 0 and abs(float(m)) > 1e-300)
-        object.__setattr__(self, "atoms", cleaned)
-
-
-def pw_derivative(p: PiecewisePolynomial) -> DistributionalProfile:
-    """Distributional derivative: piecewise derivative plus one jump atom per breakpoint.
-
-    The atoms come sorted and distinct, as the breakpoints are, and zero jumps are dropped.
-    """
-    return DistributionalProfile(ac=p.derivative_pieces(), atoms=tuple(p.boundary_jumps()))
+        object.__setattr__(self, "atoms", tuple((loc, m) for loc, m in self.atoms if m != 0))
 
 
 def profile_derivative(q: DistributionalProfile) -> DistributionalProfile:
-    """Differentiate a profile once more; any pre-existing atom becomes a delta derivative."""
-    base = pw_derivative(q.ac)
+    """Distributional derivative: the piecewise derivative plus one atom per nonzero jump,
+    sorted and distinct as the breakpoints are; an atom q already has becomes a delta derivative."""
     order = q.atom_derivative_order
     if q.atoms or order > 0:
         order += 1
-    return DistributionalProfile(ac=base.ac, atoms=base.atoms, atom_derivative_order=order)
+    return DistributionalProfile(q.ac.derivative_pieces(), tuple(q.ac.boundary_jumps()), order)
 
 
 def profile_l1(q: DistributionalProfile) -> float:

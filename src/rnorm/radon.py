@@ -13,6 +13,7 @@ from .constants import constants
 from .grids import AXIS_TOL, GridFunction2D, finite_copy, uniform_step, write_table_csv
 from .piecewise import (
     PiecewisePolynomial,
+    _as_exact,
     poly_antiderivative,
     poly_eval,
     poly_mul,
@@ -97,18 +98,20 @@ class RadialFunction:
         if self.kind == "polynomial":
             if self.g is None:
                 raise ValueError("a polynomial radial profile needs its piecewise polynomial g")
-            if self.g.breakpoints and float(self.g.breakpoints[0]) < 0:
+            if self.g.breakpoints and self.g.breakpoints[0] < 0:
                 raise ValueError("radial profile domain starts at r >= 0")
 
 
 def bump_poly(k: int, dilation=1) -> PiecewisePolynomial:
-    """The radial profile (1 - (r/eps)^2)^k on [0, eps], exact coefficients."""
-    eps = Fraction(dilation)
-    base = poly_trim((1, 0, -1 / (eps * eps)))
-    out = (Fraction(1),)
-    for _ in range(k):
-        out = poly_mul(out, base)
-    return PiecewisePolynomial((Fraction(0), eps), (out,))
+    """The radial profile (1 - (r/eps)^2)^k on [0, eps], exact coefficients; a float eps is read
+    as its shortest decimal, as the piecewise calculus reads every float (1.4 is 7/5)."""
+    eps = _as_exact(dilation)
+    if k < 0 or not eps > 0:
+        raise ValueError(f"bump_poly needs k >= 0 and a positive dilation, got k={k}, dilation={dilation}")
+    # the binomial expansion: C(k, j) (-1)^j eps^(-2j) at r^(2j)
+    out = [0] * (2 * k + 1)
+    out[::2] = [math.comb(k, j) * (-1) ** j / eps ** (2 * j) for j in range(k + 1)]
+    return PiecewisePolynomial((0, eps), (tuple(out),))
 
 
 def radial_radon_profile(f: RadialFunction) -> PiecewisePolynomial:

@@ -5,21 +5,26 @@ import numpy as np
 import pytest
 
 from rnorm import (
+    DistributionalProfile,
     FiniteReluNet,
     RadialFunction,
     RNormReport,
     bump_poly,
     grad_at_infinity,
     laplacian_lower_bound,
+    profile_derivative,
+    profile_l1,
+    radial_radon_profile,
     rbar_bounds,
     rnorm_finite_net,
     rnorm_grid_2d,
     rnorm_radial_odd,
     sample_grid,
     sobolev_upper_bound_2d,
+    sphere_area,
 )
 from rnorm.engine import _exp_bump_factors, _exp_bump_term
-from rnorm.piecewise import PiecewisePolynomial
+from rnorm.piecewise import PiecewisePolynomial, poly_antiderivative, poly_eval, poly_mul
 from rnorm.radon import UnsupportedDimensionError
 
 from oracles import bump_poly_d3_rnorm, exp_bump_laplacian_max, horner
@@ -125,6 +130,30 @@ class TestReport:
         assert rep.to_dict()["value"] == "infinite"
 
 
+# |S^(d-1)| / |S^(d-2)|, rational in odd d
+AREA_RATIO = {3: Fraction(2), 5: Fraction(4, 3), 7: Fraction(16, 15), 9: Fraction(32, 35)}
+
+
+def _kappa(d: int) -> Fraction:
+    """(-1)^((d-1)/2) (d-2)! |S^(d-1)|/|S^(d-2)|: -2, 8, -128 and 4608 for d = 3, 5, 7 and 9."""
+    return (-1) ** ((d - 1) // 2) * math.factorial(d - 2) * AREA_RATIO[d]
+
+
+def _sphere_average(p: PiecewisePolynomial, d: int, r: Fraction) -> Fraction:
+    """(1/r) int_{-r}^{r} p(t) (1 - t^2/r^2)^((d-3)/2) dt, exactly: p(w.x) averaged over w in
+    S^(d-1) at |x| = r, up to the factor |S^(d-2)|."""
+    weight = (Fraction(1),)
+    for _ in range((d - 3) // 2):
+        weight = poly_mul(weight, (1, 0, -1 / r**2))
+    total = Fraction(0)
+    for lo, hi, piece in zip(p.breakpoints, p.breakpoints[1:], p.pieces):
+        lo, hi = max(lo, -r), min(hi, r)
+        if lo < hi:
+            anti = poly_antiderivative(poly_mul(piece, weight))
+            total += poly_eval(anti, hi) - poly_eval(anti, lo)
+    return total / r
+
+
 class TestRadial:
     def test_dimension_validation(self):
         for d in (2, 4):
@@ -151,11 +180,34 @@ class TestRadial:
             assert np.max(np.abs(central - exact)) <= 1e-6 * np.max(np.abs(exact))
             previous = _exp_bump_term(Q[k], 2 * k)
 
-    @pytest.mark.parametrize("k", [50, 80])
+    @pytest.mark.parametrize("k", [50, 80, 400])
     def test_high_degree_bump_matches_the_dense_quadrature(self, k):
-        # a float Horner sum at the float roots read 103.53 for k=50 and 2.4e11 for k=80
+        # a float Horner sum at the float roots read 103.53 for k=50 and 2.4e11 for k=80; with
+        # the roots of multiplicity near k at +-1 left in, the float roots read 156.31 for k=400
         value = rnorm_radial_odd(RadialFunction(3, bump_poly(k))).value
         assert value == pytest.approx(bump_poly_d3_rnorm(k), rel=1e-8)
+
+    @pytest.mark.parametrize("eps", [1, Fraction(7, 5)])
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    def test_the_measure_reproduces_the_profile(self, d, eps):
+        """The measure rho^(d+1)(b) db / (kappa_d |S^(d-2)|) on S^(d-1) x R, pushed through the
+        ReLU superposition, is g at every radius up to a constant: since int [s - b]_+ rho^(d+1)(b) db
+        is rho^(d-1)(s), its sphere average at radius r is (1/r) int rho^(d-1)(t) (1-t^2/r^2)^((d-3)/2) dt
+        over [-r, r] times |S^(d-2)|.  Its total variation is the engine's value."""
+        assert float(AREA_RATIO[d]) == pytest.approx(sphere_area(d) / sphere_area(d - 1), rel=1e-14)
+        for k in range((d + 1) // 2, (d + 5) // 2 + 1):
+            g = bump_poly(k, dilation=eps)
+            profile = DistributionalProfile(radial_radon_profile(RadialFunction(d, g)))
+            for _ in range(d - 1):
+                profile = profile_derivative(profile)
+            assert not profile.atoms and profile.atom_derivative_order == 0
+            r0 = Fraction(1, 5) * eps
+            for r in (Fraction(1, 2) * eps, Fraction(3, 4) * eps, Fraction(9, 10) * eps):
+                change = _sphere_average(profile.ac, d, r) - _sphere_average(profile.ac, d, r0)
+                assert change == _kappa(d) * (poly_eval(g.pieces[0], r) - poly_eval(g.pieces[0], r0)), (k, r)
+            profile = profile_derivative(profile_derivative(profile))
+            total_variation = Fraction(profile_l1(profile)) * AREA_RATIO[d] / abs(_kappa(d))
+            assert rnorm_radial_odd(RadialFunction(d, g)).value == float(total_variation), k
 
     def test_infinite_case_reports_diagnostics(self):
         rep = rnorm_radial_odd(RadialFunction(5, bump_poly(1)))

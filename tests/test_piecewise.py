@@ -15,11 +15,12 @@ from rnorm.piecewise import (
     poly_eval,
     poly_mul,
     poly_scale,
+    poly_trim,
     profile_derivative,
     profile_l1,
-    pw_derivative,
 )
-from rnorm.radon import bump_poly
+from rnorm.engine import rnorm_radial_odd
+from rnorm.radon import RadialFunction, bump_poly
 
 from oracles import eval_exact, horner
 
@@ -120,11 +121,66 @@ class TestPiecewisePolynomial:
         assert p.abs_integral() == pytest.approx(quad, rel=1e-8)
 
 
+class TestExactInputs:
+    """A PiecewisePolynomial holds Fractions only; a float is read as its shortest decimal."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("k", [10, 30, 45, 50])
+    def test_float_coefficients_give_the_fraction_report(self, d, k):
+        # every coefficient is an integer below 2^53; a float calculus read d=5, k=10 and d=3, k=50
+        # as infinite, and d=3, k=45 2.9% high
+        exact = bump_poly(k)
+        floats = PiecewisePolynomial((0.0, 1.0), (tuple(float(c) for c in exact.pieces[0]),))
+        assert floats == exact
+        got, want = (rnorm_radial_odd(RadialFunction(d, p)).to_dict() for p in (floats, exact))
+        assert got == want
+
+    def test_a_float_reads_as_its_decimal(self):
+        p = PiecewisePolynomial((0, 0.1), ((1.0, 0, -200.0, 0, 10000.0),))
+        assert p == bump_poly(2, dilation=Fraction(1, 10))
+        assert rnorm_radial_odd(RadialFunction(3, p)).value == 463.10835055998655
+
+    def test_breakpoints_are_compared_exactly(self):
+        p = PiecewisePolynomial((0, 1e-13, 1), ((1,), (2,)))
+        assert p.breakpoints == (0, Fraction(1, 10**13), 1)
+        assert p.boundary_jumps() == [(0, 1), (Fraction(1, 10**13), 1), (1, -2)]
+
+
+def _decimal(x) -> Fraction:
+    """The exact value a number stands for: an integer or Fraction itself, a float its shortest decimal."""
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
+    return x if isinstance(x, Fraction) else Fraction(repr(float(x)))
+
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(max_denominator=10**4),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=-1e6, max_value=1e6).map(np.float64),
+    st.integers(min_value=-10**6, max_value=10**6).map(np.int64),
+)
+
+
+@given(st.lists(_NUMBERS, min_size=2, max_size=4, unique_by=_decimal), st.lists(_NUMBERS, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_stored_numbers_are_fractions(breakpoints, coeffs):
+    breakpoints = sorted(breakpoints, key=_decimal)
+    p = PiecewisePolynomial(breakpoints, (tuple(coeffs),) * (len(breakpoints) - 1))
+    stored = p.breakpoints + sum(p.pieces, ())
+    # a numpy integer inside a Fraction overflows in comparisons, so the parts must be Python ints
+    assert all(type(x) is Fraction and type(x.numerator) is int for x in stored)
+    assert p.breakpoints == tuple(map(_decimal, breakpoints))
+    assert all(piece == poly_trim(tuple(map(_decimal, coeffs))) for piece in p.pieces)
+
+
 class TestDistributionalCalculus:
     def test_cubic_bump_fourth_derivative_atoms(self):
         # (1-b^2)^3 is C^2 at +/-1; the third derivative 72b - 120b^3 jumps by
         # +48 at both endpoints, so the fourth derivative carries mass-48 atoms.
-        profile = pw_derivative(_bump_pw(3).derivative_pieces().derivative_pieces().derivative_pieces())
+        profile = profile_derivative(
+            DistributionalProfile(_bump_pw(3).derivative_pieces().derivative_pieces().derivative_pieces())
+        )
         assert profile.atom_derivative_order == 0
         assert len(profile.atoms) == 2
         locs = sorted(float(l) for l, _ in profile.atoms)
@@ -137,7 +193,7 @@ class TestDistributionalCalculus:
         # (1-b^2)^k: atoms first appear at the (k+1)-th derivative (order 0,
         # finite total variation); one more derivative differentiates the
         # atoms themselves (order >= 1, infinite total variation).
-        profile = pw_derivative(_bump_pw(k))
+        profile = profile_derivative(DistributionalProfile(_bump_pw(k)))
         for _ in range(k):
             profile = profile_derivative(profile)
         assert profile.atoms and profile.atom_derivative_order == 0
@@ -148,8 +204,9 @@ class TestDistributionalCalculus:
 
     def test_smooth_interior_breakpoint_makes_no_atom(self):
         p = PiecewisePolynomial((-1, 0, 1), ((0, 1), (0, 1)))  # b with a redundant break
-        assert pw_derivative(p).ac(0.3) == 1.0
-        interior = [a for a in pw_derivative(p).atoms if abs(float(a[0])) < 0.5]
+        derivative = profile_derivative(DistributionalProfile(p))
+        assert derivative.ac(0.3) == 1.0
+        interior = [a for a in derivative.atoms if abs(float(a[0])) < 0.5]
         assert interior == []
 
     def test_profile_l1_adds_atom_masses(self):

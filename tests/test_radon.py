@@ -75,6 +75,17 @@ class TestRadialProfile:
         g = bump_poly(1, dilation=2)
         assert float(g.breakpoints[-1]) == 2.0
         assert eval_exact(g, Fraction(1)) == Fraction(3, 4)
+        # a float dilation is read as its shortest decimal, as every piecewise number is
+        assert bump_poly(3, dilation=1.4) == bump_poly(3, dilation=Fraction(7, 5))
+        assert bump_poly(0) == PiecewisePolynomial((0, 1), ((1,),))
+
+    @pytest.mark.parametrize(
+        "k, dilation", [(-1, 1), (2, 0), (2, -1), (2, -0.5), (2, math.inf), (2, math.nan), (2, Fraction(-1, 3))]
+    )
+    def test_bump_poly_rejects_arguments_out_of_range(self, k, dilation):
+        with pytest.raises(ValueError) as err:
+            bump_poly(k, dilation=dilation)
+        assert "\n" not in str(err.value)
 
 
 class TestGridRadon:

@@ -11,7 +11,7 @@ import numpy as np
 from .constants import constants
 from .grids import GridFunction2D, finite_copy
 from .piecewise import (
-    DistributionalProfile, _poly_real_roots, poly_add, poly_derivative, poly_eval, poly_mul,
+    DistributionalProfile, _deflate, _poly_real_roots, poly_add, poly_derivative, poly_eval, poly_mul,
     poly_scale, profile_derivative, profile_l1,
 )
 from .radon import (
@@ -23,7 +23,6 @@ from .radon import (
 )
 from .spectral import frac_laplacian_2d
 
-ATOM_MERGE_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
 
 
@@ -97,23 +96,12 @@ def rbar_bounds(rnorm: float, grad_inf) -> tuple[float, float]:
     return max(float(rnorm), twice_grad), float(rnorm) + twice_grad
 
 
-def _merge_labels(keys: np.ndarray) -> np.ndarray:
-    """Per-column cluster labels: a column's clusters break only where its sorted
-    values jump by more than ATOM_MERGE_TOL, so values within the tolerance share
-    a label (rounding to a 1e-9 grid would split a pair across a cell edge)."""
-    labels = np.empty(keys.shape, dtype=np.intp)
-    for col in range(keys.shape[1]):
-        order = np.argsort(keys[:, col], kind="stable")
-        labels[order, col] = np.concatenate(([0], np.cumsum(np.diff(keys[order, col]) > ATOM_MERGE_TOL)))
-    return labels
-
-
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finite signed combination of Diracs on S^(d-1) x R.
 
-    Atoms whose (w, b) share a cluster in every coordinate (_merge_labels) merge
-    at the first of them given; their weights add in input order, and atoms
+    Atoms with equal (w, b) merge at the first of them given (floats compare as the
+    numbers they are, with no tolerance); their weights add in input order, and atoms
     whose weight sums to zero are dropped.
     """
 
@@ -124,8 +112,7 @@ class AtomicMeasure:
         if atoms:
             W = finite_copy([w for w, _, _ in atoms], "atom directions")
             b = finite_copy([offset for _, offset, _ in atoms], "atom offsets")
-            keys = _merge_labels(np.column_stack([W, b]))
-            _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            _, first, inverse = np.unique(np.column_stack([W, b]), axis=0, return_index=True, return_inverse=True)
             weights = np.bincount(inverse.ravel(), finite_copy([wt for _, _, wt in atoms], "atom weights"))
             order = np.argsort(first)
             atoms = tuple(
@@ -284,7 +271,11 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
         N = poly_add(poly_mul((0, 1), poly_derivative(g1)), poly_scale(g1, d - 1))
         if lo == 0 and poly_eval(N, 0) != 0:
             return math.inf  # (d-1) g'(r)/r is unbounded as r -> 0
-        roots = _poly_real_roots(tuple((j - 1) * c for j, c in enumerate(N)), float(lo), float(hi))
+        # as in abs_integral, divide the exact roots at +-breakpoints out: (1-r^2)^k overflows floats
+        crit = tuple((j - 1) * c for j, c in enumerate(N))
+        for bp in f.g.breakpoints:
+            crit = _deflate(_deflate(crit, bp), -bp)
+        roots = _poly_real_roots(crit, float(lo), float(hi))
         # exact at each float root, as in abs_integral: a float Horner sum of N cancels near degree 100
         for r in [lo, hi] + [Fraction(x) for x in roots]:
             best = max(best, abs(poly_eval(N, r) / r if r else poly_eval(N[1:], 0)))

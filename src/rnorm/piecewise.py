@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from numbers import Rational
 
 import numpy as np
@@ -53,52 +54,62 @@ def poly_eval(coeffs, x):
 def _eval_rational(coeffs, x) -> Fraction:
     """p(a/b) = sum n_i a^i b^(deg-i) / (D b^deg), where n_i = c_i D over the common denominator D."""
     a, b = x.numerator, x.denominator
-    D = math.lcm(*(c.denominator for c in coeffs))
+    D = math.lcm(*(c.denominator for c in coeffs if c))
     acc, scale = 0, 1
     for c in reversed(coeffs):
-        acc = acc * a + c.numerator * (D // c.denominator) * scale
+        acc = acc * a + (c.numerator * (D // c.denominator) * scale if c else 0)
         scale *= b
     return Fraction(acc, D * b ** (len(coeffs) - 1))
 
 
 def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)))
+    return poly_trim(tuple((x + y if x else y) if y else x for x, y in zip_longest(a, b, fillvalue=0)))
 
 
 def poly_scale(a, s):
-    return poly_trim(tuple(c * s for c in a))
+    return poly_trim(tuple(c * s if c else c for c in a))
 
 
 def poly_mul(a, b):
+    """a times b, the loops over the nonzero coefficients of each factor only: a zero costs no
+    Fraction arithmetic, so a product by the monomial t^n costs what a shift does."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
+    nonzero_b = [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
+        if ca:
+            for j, cb in nonzero_b:
+                out[i + j] += ca * cb
     return poly_trim(tuple(out))
 
 
 def poly_derivative(coeffs):
-    return poly_trim(tuple(coeffs[i] * i for i in range(1, len(coeffs))))
+    return poly_trim(tuple(c * i if c else c for i, c in enumerate(coeffs) if i))
 
 
 def poly_antiderivative(coeffs):
-    return poly_trim((0,) + tuple(Fraction(c, i + 1) for i, c in enumerate(coeffs)))
+    return poly_trim((0,) + tuple(Fraction(c, i + 1) if c else c for i, c in enumerate(coeffs)))
 
 
 def _deflate(coeffs, root):
-    """coeffs divided by (x - root) while root is a root: synthetic division on the integer
-    numerators, which stay integers by Gauss's lemma as b x - a is primitive for root = a/b."""
+    """coeffs divided by (x - root) as often as root = a/b is a root: one synthetic division by
+    b x - a per factor on the integer numerators (an integer root divides by nothing).  By Gauss's
+    lemma (b x - a is primitive) a/b is a root exactly when every step divides evenly and the
+    remainder is 0, so the first inexact step or nonzero remainder ends it."""
     a, b = root.numerator, root.denominator
     D = math.lcm(*(c.denominator for c in coeffs))
     N, scale = [c.numerator * (D // c.denominator) for c in coeffs], Fraction(1, D)
-    while len(N) > 1 and poly_eval(N, root) == 0:
-        q = [0]
-        for n in reversed(N[1:]):
-            q.append((n + a * q[-1]) // b)
-        N, scale = q[:0:-1], scale * b
+    while len(N) > 1:
+        q, carry = [], 0
+        for n in reversed(N):
+            carry, rem = divmod(n + a * carry, b) if b > 1 else (n + a * carry, 0)
+            if rem:
+                break
+            q.append(carry)
+        if rem or carry:  # the last carry is the remainder over b
+            break
+        N, scale = q[-2::-1], scale * b
     return tuple(n * scale for n in N)
 
 

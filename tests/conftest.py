@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+pytest_plugins = ["pytester"]
+
 ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
 

@@ -53,6 +53,20 @@ def horner(coeffs, x):
     return acc
 
 
+def deflate_two_pass(coeffs, root):
+    """coeffs divided by (x - root) while an exact evaluation at root reads 0, then one synthetic
+    division on the integer numerators per factor: the reference for rnorm.piecewise._deflate."""
+    a, b = root.numerator, root.denominator
+    D = math.lcm(*(c.denominator for c in coeffs))
+    N, scale = [c.numerator * (D // c.denominator) for c in coeffs], Fraction(1, D)
+    while len(N) > 1 and horner(N, Fraction(root)) == 0:
+        q = [0]
+        for n in reversed(N[1:]):
+            q.append((n + a * q[-1]) // b)
+        N, scale = q[:0:-1], scale * b
+    return tuple(n * scale for n in N)
+
+
 def eval_exact(p: PiecewisePolynomial, b):
     """p(b) in exact arithmetic when b and p's coefficients are rational; Fraction(0) outside the support."""
     i = int(p._piece_index(float(b)))

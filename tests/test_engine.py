@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnorm import (
     DistributionalProfile,
@@ -43,8 +45,9 @@ class TestFiniteNet:
         assert rnorm_finite_net(net).value == pytest.approx(3.0, rel=1e-15)
 
     def test_cancelling_units_give_zero(self):
-        net = FiniteReluNet(2, ((1.0, E1, 0.25), (-1.0, E1, 0.25)))
-        assert rnorm_finite_net(net).value == 0.0
+        # the second net is [x]_+ - [-x]_+ = x: even_part's (-w, -b) of b = 0 holds -0.0
+        for units in (((1.0, E1, 0.25), (-1.0, E1, 0.25)), ((1.0, E1, 0.0), (-1.0, -E1, 0.0))):
+            assert rnorm_finite_net(FiniteReluNet(2, units)).value == 0.0
 
     def test_planted_three_unit_norm(self):
         net = FiniteReluNet(
@@ -63,6 +66,22 @@ class TestFiniteNet:
             FiniteReluNet(2, tuple((-3.0 * a, w, b) for a, w, b in units))
         ).value
         assert scaled == pytest.approx(3.0 * base, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "units, expected",
+        [
+            (((1.0, 0.0), (-1.0, 0.9e-9)), 2.0),
+            (((1.0, 0.0), (-1.0, 1.8e-9)), 2.0),
+            (((1.0, 0.0), (0.0, 0.9e-9), (-1.0, 1.8e-9)), 2.0),
+            (tuple(((-1.0) ** i, i * 0.5e-9) for i in range(1000)), 1000.0),
+        ],
+        ids=["pair", "wider-pair", "pair-and-zero-unit", "1000-alternating"],
+    )
+    def test_nearby_units_keep_their_weights(self, units, expected):
+        # units (a, E1, b) a few 1e-9 apart in b: f is not affine, so no weight cancels
+        # (a chained 1e-9 merge tolerance read 0, 2, 0 and 0)
+        net = FiniteReluNet(2, tuple((a, E1, b) for a, b in units))
+        assert rnorm_finite_net(net).value == expected
 
     def test_antipodal_units_merge_in_even_measure(self):
         # [x]_+ + [-x]_+ = |x|: both units share the even measure of |x|.
@@ -115,6 +134,26 @@ class TestFiniteNet:
         for v in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
             with pytest.raises(ValueError, match=r"^net linear part v must have shape \(2,\), got"):
                 FiniteReluNet(2, ((1.0, E1, 0.0),), v=v)
+
+
+# few directions and offsets, so units often coincide; quarter weights add exactly in any order
+_UNITS = st.tuples(
+    st.integers(-12, 12).map(lambda n: n / 4.0),
+    st.integers(0, 7),
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, 0.5 + 1e-12, 1e-9]), st.floats(-1, 1)),
+)
+
+
+@given(st.lists(_UNITS, max_size=6), _UNITS, st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_a_zero_weight_unit_never_changes_the_finite_net_norm(units, extra, at):
+    def net(units):
+        return FiniteReluNet(2, tuple((a, _unit(math.pi * k / 4), b) for a, k, b in units))
+
+    base = rnorm_finite_net(net(units))
+    got = rnorm_finite_net(net(units[:at] + [(0.0,) + extra[1:]] + units[at:]))
+    assert got.value == base.value
+    assert sorted(got.diagnostics["atoms"]) == sorted(base.diagnostics["atoms"])
 
 
 class TestReport:
@@ -264,8 +303,9 @@ class TestGradientAtInfinity:
 class TestLaplacianBound:
     def test_radial_closed_form_at_origin(self):
         # g = (1-r^2)^k: |Delta f|(0) = d * |g''(0)| = 2 d k.  At k >= 80 a float Horner
-        # sum at the float critical points read up to 5.6e19
-        for d, k in [(3, 4), (3, 80), (3, 120), (5, 80), (5, 120)]:
+        # sum at the float critical points read up to 5.6e19; at k = 1000 the critical
+        # polynomial's coefficients overflowed a float before its roots at +-1 were divided out
+        for d, k in [(3, 4), (3, 80), (3, 120), (5, 80), (5, 120), (3, 400), (3, 1000), (5, 400), (5, 1000)]:
             bound = laplacian_lower_bound(RadialFunction(d, bump_poly(k)))
             assert bound == pytest.approx(2 * d * k, rel=1e-12), (d, k)
 

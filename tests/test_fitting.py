@@ -21,18 +21,20 @@ from oracles import fit_as_net
 
 
 class TestAtomicMeasure:
-    def test_merges_nearby_atoms(self):
+    def test_merges_only_equal_atoms(self):
+        # an atom 1e-12 from another is another atom: a float is the number it is
         w = np.array([1.0, 0.0])
-        m = AtomicMeasure(((w, 0.5, 1.0), (w + 1e-12, 0.5, 2.0), (w, -0.5, -1.5)))
-        assert len(m) == 2
-        assert m.total_variation == pytest.approx(4.5)
+        m = AtomicMeasure(((w, 0.5, 1.0), (w + 1e-12, 0.5, 2.0), (w, -0.5, -1.5), (w.copy(), 0.5, 0.5)))
+        assert [(list(v), b, wt) for v, b, wt in m.atoms] == [
+            ([1.0, 0.0], 0.5, 1.5), ([1.0 + 1e-12, 1e-12], 0.5, 2.0), ([1.0, 0.0], -0.5, -1.5)
+        ]
+        assert m.total_variation == 5.0
 
-    def test_close_atoms_merge_across_a_rounding_edge(self):
-        # 2.5e-9 sits on an edge of a 1e-9 rounding grid; the pair is 2e-12 apart
+    def test_close_atoms_stay_apart(self):
+        # 2e-12 apart on either side of 2.5e-9: two atoms, whose weights do not cancel
         w = np.array([1.0, 0.0])
-        m = AtomicMeasure(((w, 2.5e-9 - 1e-12, 1.0), (w, 2.5e-9 + 1e-12, 2.0)))
-        assert len(m) == 1
-        assert m.atoms[0][1] == 2.5e-9 - 1e-12 and m.atoms[0][2] == 3.0
+        m = AtomicMeasure(((w, 2.5e-9 - 1e-12, 1.0), (w, 2.5e-9 + 1e-12, -1.0)))
+        assert [(b, wt) for _, b, wt in m.atoms] == [(2.5e-9 - 1e-12, 1.0), (2.5e-9 + 1e-12, -1.0)]
 
     def test_cancelled_atoms_dropped(self):
         w = np.array([0.0, 1.0])
@@ -69,12 +71,12 @@ def test_even_part_never_increases_total_variation(entries):
     assert even_part(m).total_variation <= m.total_variation + 1e-12
 
 
-def _pairwise_merge(atoms, tol=1e-9):
-    """Reference merge: each atom joins the first earlier atom within tol, else starts one."""
+def _pairwise_merge(atoms):
+    """Reference merge: each atom joins the first earlier atom with equal (w, b), else starts one."""
     merged = []
     for w, b, wt in atoms:
         for atom in merged:
-            if np.linalg.norm(atom[0] - w) + abs(atom[1] - b) <= tol:
+            if np.all(atom[0] == w) and atom[1] == b:
                 atom[2] += wt
                 break
         else:
@@ -92,9 +94,9 @@ def _merge_case(k, j, kind, wt):
     b = MERGE_OFFSETS[j]
     if kind == "antipode":
         return [(w, b, wt), (-w, -b, wt)]
-    if kind == "grid antipode":  # cos(th + pi) against -cos(th), as on the fitting grid
+    if kind == "grid antipode":  # cos(th + pi) against -cos(th): one atom only where they round alike
         return [(w, b, wt), (np.array([math.cos(th + math.pi), math.sin(th + math.pi)]), MERGE_OFFSETS[-1 - j], wt)]
-    if kind == "perturbed":
+    if kind == "perturbed":  # 1e-12 away: another atom
         return [(w, b, wt), (w + 1e-12, b - 1e-12, -wt / 3.0)]
     return [(w, b, wt), (w.copy(), b, wt)]  # exact repeat
 

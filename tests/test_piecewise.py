@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rnorm.piecewise import (
     DistributionalProfile,
+    _deflate,
     PiecewisePolynomial,
     poly_add,
     poly_antiderivative,
@@ -22,7 +23,7 @@ from rnorm.piecewise import (
 from rnorm.engine import rnorm_radial_odd
 from rnorm.radon import RadialFunction, bump_poly
 
-from oracles import eval_exact, horner
+from oracles import deflate_two_pass, eval_exact, horner
 
 
 def _bump_pw(k: int) -> PiecewisePolynomial:
@@ -223,16 +224,54 @@ def test_abs_integral_dominates_signed_integral(coeffs):
     assert p.abs_integral() + 1e-12 >= abs(signed)
 
 
+# mostly zeros, as in a profile of an even bump: ints and Fractions mixed, zeros of both types
+_SPARSE = st.one_of(
+    st.sampled_from([0, Fraction(0)]),
+    st.sampled_from([0, Fraction(0)]),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
 @given(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
+    st.lists(_SPARSE, max_size=9),
+    st.lists(_SPARSE, max_size=9),
+    st.integers(min_value=0, max_value=5),
+    _SPARSE,
     st.fractions(min_value=-2, max_value=2),
 )
-@settings(max_examples=50, deadline=None)
-def test_poly_ring_identities(a, b, x):
+@settings(max_examples=200, deadline=None)
+def test_poly_ring_identities(a, b, shift, s, x):
     a, b = tuple(a), tuple(b)
-    assert poly_eval(poly_add(a, b), x) == poly_eval(a, x) + poly_eval(b, x)
-    assert poly_eval(poly_mul(a, b), x) == poly_eval(a, x) * poly_eval(b, x)
+    for p in (poly_add(a, b), poly_mul(a, b), poly_scale(a, s), poly_derivative(a)):
+        assert p == poly_trim(p)
+    assert poly_eval(poly_add(a, b), x) == horner(a, x) + horner(b, x)
+    assert poly_eval(poly_mul(a, b), x) == horner(a, x) * horner(b, x)
+    assert poly_eval(poly_scale(a, s), x) == horner(a, x) * s
+    assert poly_eval(poly_derivative(a), x) == horner(tuple(i * c for i, c in enumerate(a))[1:], x)
+    # a product by the monomial x^shift is a shift
+    assert poly_mul(a, (0,) * shift + (1,)) == poly_trim((0,) * shift + a if poly_trim(a) else ())
+
+
+@given(
+    st.lists(_SPARSE, max_size=7),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    st.integers(min_value=0, max_value=5),
+)
+@example([1, 1], Fraction(-1), 5)  # the cofactor (1 + x) has the root too
+@example([Fraction(1, 3), 0, -3], Fraction(1, 3), 2)
+@example([2, 0, 0], Fraction(0), 3)
+@settings(max_examples=200, deadline=None)
+def test_deflate_divides_out_a_planted_rational_root(cofactor, root, multiplicity):
+    cofactor = poly_trim(cofactor)
+    p = cofactor
+    for _ in range(multiplicity):
+        p = poly_mul(p, (-root, 1))
+    got = _deflate(p, root)
+    assert got == deflate_two_pass(p, root)
+    if cofactor and horner(cofactor, root) != 0:
+        assert got == cofactor  # stops at the first power that leaves a non-root
+    assert _deflate(got, root) == got
 
 
 _RATIONALS = st.one_of(st.integers(min_value=-10**6, max_value=10**6), st.fractions(max_denominator=10**4))

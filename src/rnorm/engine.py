@@ -24,6 +24,9 @@ from .radon import (
 from .spectral import frac_laplacian_2d
 
 UNIT_NORM_TOL = 1e-12
+# a grid value this many times its half-resolution one grows at least like the square root of
+# the resolution: on a log scale, halfway between converged (1) and doubling like a kink's (2)
+GROWTH_RATIO = math.sqrt(2.0)
 
 
 class FiniteReluNet:
@@ -209,25 +212,26 @@ def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
 def rnorm_grid_2d(f: GridFunction2D, K: int = 256, J: int = 513) -> RNormReport:
     """Numerical d=2 R-norm: gamma_2 ||R{(-Delta)^(3/2) f}||_1 on the sinogram grid.
 
-    The error estimate is the change at half the sinogram resolution, floored at
-    32 x 65; the warning error-estimate-partial marks a K or J the floor keeps.
-    The report carries the full-resolution sinogram. Each resolution computes
-    its own (-Delta)^(3/2) f: the per-layer benchmark's own test counts two
-    fractional-Laplacian calls per grid op. No SciPy is loaded; the sinogram's
+    The error estimate is the change at half the resolution: f decimated to every
+    second sample at spacing 2h (for even n a half-sample shift, which leaves R
+    unchanged), with its own (-Delta)^(3/2), on a sinogram of half the K and J,
+    floored at 32 x 65. error-estimate-partial marks a K or J the floor keeps, or a
+    grid under 32 x 32, whose coarse level keeps the full grid. value-grows-with-resolution
+    marks a value at least GROWTH_RATIO times the coarse one. The report carries the
+    full-resolution sinogram. No SciPy is loaded; the sinogram's
     memory is bounded per thread, whatever K and J.
     """
     gamma_2 = constants(2).gamma_d
-
-    def sinogram(Kc, Jc):
-        g = frac_laplacian_2d(f, 3.0)
-        return grid_radon_2d(g, Kc, Jc), g.warnings
-
-    sino, warns = sinogram(K, J)
+    g = frac_laplacian_2d(f, 3.0)
+    sino, warns = grid_radon_2d(g, K, J), g.warnings
     value = gamma_2 * sino.l1()
     Kc, Jc = max(32, K // 2), max(65, (J - 1) // 2 + 1)
-    if Kc >= K or Jc >= J:
+    if Kc >= K or Jc >= J or f.n < 32:
         warns += ("error-estimate-partial",)
-    coarse = gamma_2 * sinogram(Kc, Jc)[0].l1()
+    half = f if f.n < 32 else GridFunction2D(f.values[::2, ::2], 2.0 * f.h)
+    coarse = gamma_2 * grid_radon_2d(frac_laplacian_2d(half, 3.0), Kc, Jc).l1()
+    if value > 0 and value >= GROWTH_RATIO * coarse:
+        warns += ("value-grows-with-resolution",)
     return RNormReport(
         value=value,
         method="grid-2d",

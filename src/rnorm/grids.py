@@ -15,6 +15,8 @@ import numpy as np
 AXIS_TOL = 1e-9
 # CSV rows formatted per block: only one block's values exist as Python floats at a time
 CSV_BLOCK_ROWS = 2**12
+# characters of a CSV body read per block, extended to the end of its line
+CSV_BLOCK_CHARS = 2**16
 
 
 def finite_copy(values, field: str) -> np.ndarray:
@@ -102,15 +104,20 @@ def uniform_step(axis: np.ndarray, what: str) -> float:
 def read_csv(source: str | TextIO, header: str, label: str | None = None) -> np.ndarray:
     """Rows of a numeric CSV (text or text stream) whose lower-cased first line matches the regex ``header``.
 
-    A stream is parsed line by line, never read whole; lines of only
-    whitespace are skipped.  A bad header (shown as ``label``, default
-    ``header``), a row whose column count differs from the header's, an empty
-    body or a non-finite value raises a one-line ValueError.
+    A stream is never read whole: after the header line, the body is read in
+    blocks of CSV_BLOCK_CHARS characters, each extended to the end of its line.
+    Lines of only whitespace are skipped.  A bad header (shown as ``label``,
+    default ``header``), a row whose column count differs from the header's, an
+    empty body or a non-finite value raises a one-line ValueError.
     """
-    lines = itertools.filterfalse(str.isspace, io.StringIO(source) if isinstance(source, str) else source)
-    first = next(lines, "").strip().lower()
+    stream = io.StringIO(source) if isinstance(source, str) else source
+    first = next(itertools.filterfalse(str.isspace, stream), "").strip().lower()
     if not re.fullmatch(header, first):
         raise ValueError(f"CSV must start with header '{label or header}'")
+    blocks = iter(lambda: stream.read(CSV_BLOCK_CHARS) + stream.readline(), "")
+    lines = itertools.filterfalse(
+        str.isspace, filter(None, itertools.chain.from_iterable(b.split("\n") for b in blocks))
+    )
     row = next(lines, None)
     if row is None:
         raise ValueError("CSV has no data rows")

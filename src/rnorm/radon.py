@@ -182,38 +182,38 @@ def map_coordinates(values: np.ndarray, coords: np.ndarray, output: np.ndarray) 
     """
     x, y = coords
     n0, n1 = values.shape
-    inside = np.flatnonzero((x >= 0) & (x <= n0 - 1) & (y >= 0) & (y <= n1 - 1))
-    fx, fy = x.take(inside), y.take(inside)
+    inside = (x >= 0) & (x <= n0 - 1) & (y >= 0) & (y <= n1 - 1)
+    fx, fy = x[inside], y[inside]
     # the lower corner; a point on the last row or column uses the cell below it with weight 1
     i = np.minimum(fx.astype(np.intp), n0 - 2)
     j = np.minimum(fy.astype(np.intp), n1 - 2)
     fx -= i
     fy -= j
-    gx, gy = 1.0 - fx, 1.0 - fy
     i *= n1
     i += j
     v = values.ravel()
-    low = v.take(i) * gx
-    low += v[n1:].take(i) * fx
-    low *= gy
-    high = v[1:].take(i) * gx
-    high += v[n1 + 1:].take(i) * fx
+    # two lerps along x, v0 + fx (v1 - v0) at y_j and y_j+1, then one along y
+    low, high = v.take(i), v[1:].take(i)
+    for lo, hi in ((low, v[n1:].take(i)), (high, v[n1 + 1:].take(i))):
+        hi -= lo
+        hi *= fx
+        lo += hi
+    high -= low
     high *= fy
     low += high
     output.fill(0.0)
-    output.put(inside, low)
+    output[inside] = low
     return output
 
 
 def _line_integral_batch(f: GridFunction2D, theta: float, offsets: np.ndarray, t: np.ndarray, step: float,
                          buf: np.ndarray) -> np.ndarray:
     """Line integrals of f along w(theta).x = b for each offset b; buf (3 x offsets x t) holds the samples."""
-    w = (math.cos(theta), math.sin(theta))
-    u = (-math.sin(theta), math.cos(theta))
+    # fractional indices in one pass: (b w + t u) / h + the grid centre (n - 1) / 2
+    w = (math.cos(theta) / f.h, math.sin(theta) / f.h)
+    u = (-math.sin(theta) / f.h, math.cos(theta) / f.h)
     for a in range(2):
-        np.add.outer(offsets * w[a], t * u[a], out=buf[a])
-    buf[:2] /= f.h
-    buf[:2] += (f.n - 1) / 2.0
+        np.add.outer(offsets * w[a] + (f.n - 1) / 2.0, t * u[a], out=buf[a])
     map_coordinates(f.values, buf[:2].reshape(2, -1), output=buf[2].reshape(-1))
     return buf[2].sum(axis=1) * step
 

@@ -25,11 +25,13 @@ from rnorm import (
     sobolev_upper_bound_2d,
     sphere_area,
 )
+import rnorm.engine
+from rnorm.analysis import pyramid_pwl
 from rnorm.engine import _exp_bump_factors, _exp_bump_term
 from rnorm.piecewise import PiecewisePolynomial, poly_antiderivative, poly_eval, poly_mul
 from rnorm.radon import UnsupportedDimensionError
 
-from oracles import bump_poly_d3_rnorm, exp_bump_laplacian_max, horner
+from oracles import bump_poly_d3_rnorm, exp_bump_laplacian_max, grid_axis, horner
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -396,3 +398,51 @@ class TestGrid:
         f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), 128, 8.0)
         rep = rnorm_grid_2d(f, K=K, J=J)
         assert ("error-estimate-partial" in rep.diagnostics["warnings"]) == partial
+
+    @pytest.mark.parametrize("n", [16, 31, 32, 33, 64])
+    def test_coarse_level_runs_on_the_half_resolution_grid(self, monkeypatch, n):
+        # decimated to every second sample at spacing 2h from 32 x 32 up; below, the full grid, flagged partial
+        grids, radon_grids = [], []
+
+        def spy(module, name, seen):
+            original = getattr(module, name)
+
+            def recording(g, *args):
+                seen.append(g)
+                return original(g, *args)
+
+            monkeypatch.setattr(module, name, recording)
+
+        spy(rnorm.engine, "frac_laplacian_2d", grids)
+        spy(rnorm.engine, "grid_radon_2d", radon_grids)
+        f = sample_grid(lambda X, Y: np.exp(-(X**2 + Y**2) / 2.0), n, 4.0)
+        rep = rnorm_grid_2d(f, K=64, J=129)
+        fine, coarse = grids
+        assert fine is f
+        assert [(g.n, g.h) for g in radon_grids] == [(g.n, g.h) for g in grids]
+        assert ("error-estimate-partial" in rep.diagnostics["warnings"]) == (n < 32)
+        if n < 32:
+            assert coarse is f
+            return
+        assert (coarse.n, coarse.h) == ((n + 1) // 2, 2.0 * f.h)
+        assert np.array_equal(coarse.values, f.values[::2, ::2])
+        # odd n keeps every second sample's point; even n shifts the grid by half a fine step
+        shift = 0.0 if n % 2 else f.h / 2.0
+        assert np.allclose(grid_axis(coarse), grid_axis(f)[::2] + shift, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("R", [None, 4.0, 7.5], ids=["gaussian", "bump-4", "bump-7.5"])
+    def test_converging_values_do_not_warn_of_growth(self, n, R):
+        # fine/coarse ratios at most 1.1 here, against the warning's sqrt(2); the bump is exp(-1/(1-r^2/R^2))
+        def func(X, Y):
+            if R is None:
+                return np.exp(-(X**2 + Y**2) / 2.0)
+            return np.exp(-1.0 / np.maximum(1.0 - (X**2 + Y**2) / R**2, 1e-300))
+
+        rep = rnorm_grid_2d(sample_grid(func, n, 8.0), K=64, J=129)
+        assert "value-grows-with-resolution" not in rep.diagnostics["warnings"]
+
+    def test_the_pyramid_warns_that_its_value_grows_with_resolution(self):
+        # the pyramid's R-norm is infinite: its grid value grows about 1.6 times per doubling of n
+        rep = rnorm_grid_2d(sample_grid(pyramid_pwl, 128, 2.0), K=64, J=129)
+        assert rep.diagnostics["warnings"] == ["value-grows-with-resolution"]

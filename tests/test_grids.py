@@ -8,6 +8,8 @@ from rnorm import (
     AtomicMeasure, FiniteReluNet, FitProblem, GridFunction2D, PiecewisePolynomial, PwlCurvatureMeasure2D,
     RayDecaySample, RNormReport, Sinogram, sample_grid,
 )
+import rnorm.grids
+from rnorm.cli import _read
 from rnorm.grids import read_csv
 
 from oracles import grid_axis, grid_integral, grid_meshgrid, grid_to_csv
@@ -50,13 +52,48 @@ def test_csv_rows_in_any_order():
     assert np.array_equal(g.values, f.values)
 
 
+def _with_blank_lines(f):
+    header, *rows = grid_to_csv(f).splitlines()
+    return "\n".join([" \t", header] + rows[:100] + ["  ", ""] + rows[100:] + ["\t \f"])
+
+
 def test_csv_stream_skips_lines_of_only_whitespace():
     f = sample_grid(lambda X, Y: np.sin(X) * np.cos(2 * Y), 16, 2.0)
-    header, *rows = grid_to_csv(f).splitlines()
-    text = "\n".join([" \t", header] + rows[:100] + ["  ", ""] + rows[100:] + ["\t \f"])
+    text = _with_blank_lines(f)
     g = GridFunction2D.from_csv(io.StringIO(text))
     assert np.array_equal(g.values, f.values)
     assert np.array_equal(read_csv(io.StringIO(text), "x,y,value"), read_csv(grid_to_csv(f), "x,y,value"))
+
+
+@pytest.mark.parametrize("chars", [1, 7, 64])
+def test_csv_blocks_of_any_size_parse_alike(monkeypatch, tmp_path, chars):
+    # a block ends mid-line, on a line end or past a blank line; CRLF comes through a text stream
+    f = sample_grid(lambda X, Y: np.sin(X) * np.cos(2 * Y), 16, 2.0)
+    text = grid_to_csv(f)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    rows = text.splitlines()
+    bad_value, bad_width = rows.copy(), rows.copy()
+    bad_value[200] = bad_value[200].rsplit(",", 1)[0] + ",0x1"
+    bad_width[200] = bad_width[200].rsplit(",", 1)[0]
+
+    def parse_all():
+        parsed = [read_csv(src, "x,y,value") for src in (io.StringIO(_with_blank_lines(f)), text.rstrip("\n"))]
+        parsed.append(_read(str(crlf), lambda fh: read_csv(fh, "x,y,value")))
+        messages = []
+        for bad in (bad_value, bad_width):
+            with pytest.raises(ValueError) as info:
+                read_csv(io.StringIO("\n".join(bad)), "x,y,value")
+            messages.append(str(info.value))
+        return parsed, messages
+
+    expected, messages = parse_all()
+    assert all(np.array_equal(a, read_csv(text, "x,y,value")) for a in expected)
+    assert "row 199" in messages[0]  # loadtxt counts body rows from 0
+    monkeypatch.setattr(rnorm.grids, "CSV_BLOCK_CHARS", chars)
+    parsed, small_messages = parse_all()
+    assert all(np.array_equal(a, b) for a, b in zip(parsed, expected))
+    assert small_messages == messages
 
 
 def test_csv_writer_matches_per_element_format():

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .constants import constants
 from .grids import GridFunction2D, finite_copy
 from .piecewise import (
-    DistributionalProfile, _deflate, _poly_real_roots, poly_add, poly_derivative, poly_eval, poly_mul,
+    DistributionalProfile, _sign_changes, poly_add, poly_derivative, poly_eval, poly_mul,
     poly_scale, profile_derivative, profile_l1,
 )
 from .radon import (
@@ -175,7 +174,10 @@ def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
     derivative of the Radon profile rho, over (d-2)!: the total variation of the measure
     rho^(d+1)(b) db / (kappa_d |S^(d-2)|) on S^(d-1) x R that represents f, where
     kappa_d = (-1)^((d-1)/2) (d-2)! |S^(d-1)|/|S^(d-2)|.  diagnostics.atoms are the Dirac
-    atoms (location, mass) of rho^(d+1), not the measure's masses.
+    atoms (location, mass) of rho^(d+1), not the measure's masses.  The integral of |rho^(d+1)| is
+    cut at certified sign changes, within 2^-40 of a piece's length of their roots, so no float
+    tolerance enters it (PiecewisePolynomial.abs_integral); the exp bump's quadrature panels end
+    at the certified sign changes of P.
     """
     d = f.d
     if d % 2 == 0 or d < 3:
@@ -186,7 +188,7 @@ def rnorm_radial_odd(f: RadialFunction) -> RNormReport:
         _, _, q2, q3 = _exp_bump_factors(3)
         # (b g)''' = 3 g'' + b g''' = g P / (1-b^2)^6: Gauss-Legendre between the roots of P
         P = poly_add(poly_mul((3, 0, -6, 0, 3), q2), poly_mul((0, 1), q3))
-        cuts = np.array([0.0] + _poly_real_roots(P, 0.0, 1.0) + [1.0])
+        cuts = np.array([0.0, *map(float, _sign_changes(P, 0, 1)), 1.0])
         lo, half = cuts[:-1, None], np.diff(cuts)[:, None] / 2.0
         value, coarse = (
             2.0 * float(np.abs(_exp_bump_term(P, 6)(lo + half * (x + 1.0)) @ w * half[:, 0]).sum())
@@ -256,8 +258,10 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
     R reads 27.02 / 54.03 / 108.06 while ||Delta f||_inf reads 24 / 96 / 384.
 
     On a profile piece [lo, hi], Delta f = N/r with N = r g'' + (d-1) g' is extreme at lo, hi
-    and the roots of r N' - N; at r = 0 it is N'(0) = d g''(0), and a cone (g'(0) != 0) is inf.
-    The exp bump's Delta f = g P/(1-r^2)^4 is extreme at 0 and at the roots of D in (0, 1)."""
+    and the sign changes of r N' - N; at r = 0 it is N'(0) = d g''(0), and a cone (g'(0) != 0) is inf.
+    The exp bump's Delta f = g P/(1-r^2)^4 is extreme at 0 and at the sign changes of D in (0, 1).
+    Each sign change is certified within 2^-40 of its piece's length, with no float tolerance, and
+    N/r is exact there."""
     if isinstance(f, GridFunction2D):
         return float(np.abs(frac_laplacian_2d(f, 2.0).values).max())
     d = f.d
@@ -268,20 +272,15 @@ def laplacian_lower_bound(f: RadialFunction | GridFunction2D) -> float:
         # (g P/(1-r^2)^4)' = g D/(1-r^2)^6
         D = poly_add(poly_mul(poly_add(q1, (0, 8, 0, -8)), P), poly_mul(u2, poly_derivative(P)))
         term = _exp_bump_term(P, 4)
-        return max(abs(float(term(r))) for r in [0.0] + _poly_real_roots(D, 0.0, 1.0))
+        return max(abs(float(term(r))) for r in [0.0, *map(float, _sign_changes(D, 0, 1))])
     best = 0
     for lo, hi, piece in zip(f.g.breakpoints, f.g.breakpoints[1:], f.g.pieces):
         g1 = poly_derivative(piece)
         N = poly_add(poly_mul((0, 1), poly_derivative(g1)), poly_scale(g1, d - 1))
         if lo == 0 and poly_eval(N, 0) != 0:
             return math.inf  # (d-1) g'(r)/r is unbounded as r -> 0
-        # as in abs_integral, divide the exact roots at +-breakpoints out: (1-r^2)^k overflows floats
         crit = tuple((j - 1) * c for j, c in enumerate(N))
-        for bp in f.g.breakpoints:
-            crit = _deflate(_deflate(crit, bp), -bp)
-        roots = _poly_real_roots(crit, float(lo), float(hi))
-        # exact at each float root, as in abs_integral: a float Horner sum of N cancels near degree 100
-        for r in [lo, hi] + [Fraction(x) for x in roots]:
+        for r in [lo, hi, *_sign_changes(crit, lo, hi, [x for bp in f.g.breakpoints for x in (bp, -bp)])]:
             best = max(best, abs(poly_eval(N, r) / r if r else poly_eval(N[1:], 0)))
     return float(best)
 

@@ -92,14 +92,12 @@ def poly_antiderivative(coeffs):
     return poly_trim((0,) + tuple(Fraction(c, i + 1) if c else c for i, c in enumerate(coeffs)))
 
 
-def _deflate(coeffs, root):
-    """coeffs divided by (x - root) as often as root = a/b is a root: one synthetic division by
-    b x - a per factor on the integer numerators (an integer root divides by nothing).  By Gauss's
-    lemma (b x - a is primitive) a/b is a root exactly when every step divides evenly and the
-    remainder is 0, so the first inexact step or nonzero remainder ends it."""
+def _deflate(N: list, root) -> list:
+    """The integer polynomial N divided by b x - a as often as root = a/b is a root: one synthetic division
+    per factor (an integer root divides by nothing).  By Gauss's lemma (b x - a is primitive) a/b is a
+    root exactly when every step divides evenly and the remainder is 0, so the first inexact step or
+    nonzero remainder ends it."""
     a, b = root.numerator, root.denominator
-    D = math.lcm(*(c.denominator for c in coeffs))
-    N, scale = [c.numerator * (D // c.denominator) for c in coeffs], Fraction(1, D)
     while len(N) > 1:
         q, carry = [], 0
         for n in reversed(N):
@@ -109,37 +107,88 @@ def _deflate(coeffs, root):
             q.append(carry)
         if rem or carry:  # the last carry is the remainder over b
             break
-        N, scale = q[-2::-1], scale * b
-    return tuple(n * scale for n in N)
+        N = q[-2::-1]
+    return N
 
 
-def _poly_real_roots(coeffs, lo: float, hi: float) -> list[float]:
-    """Real roots of the polynomial strictly inside (lo, hi): companion-matrix roots polished
-    by a few Newton steps, those within 1e-12 of the span of each other merged."""
-    cf = poly_trim(tuple(float(c) for c in coeffs))
-    if len(cf) <= 1:
+def _sign_at(N, x: Fraction) -> int:
+    """The sign of p(x) for the integer coefficients N of p: of b^n p(a/b) = sum N_i a^i b^(n-i), x = a/b."""
+    acc, scale = 0, 1
+    for n in reversed(N):
+        acc, scale = acc * x.numerator + n * scale, scale * x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _poly_divmod(a, b) -> tuple:
+    """Quotient and remainder of the exact polynomial a by the nonzero b."""
+    r, q = [Fraction(c) for c in a], []
+    while len(r) >= len(b):
+        q.append(r[-1] / b[-1])
+        r = [c - q[-1] * d for c, d in zip(r, [0] * (len(r) - len(b)) + list(b))][:-1]
+    return poly_trim(q[::-1]), poly_trim(r)
+
+
+def _taylor_shift(coeffs, s) -> list:
+    """The coefficients of p(x + s), by Horner's scheme from each coefficient down."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
+
+
+def _descartes_bound(coeffs, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + t)^n p((lo + hi t)/(1 + t)) L^n, L the common denominator of lo and hi: by
+    Descartes' rule, the number of roots of p in (lo, hi) counted with multiplicity, plus an even number."""
+    L, n = math.lcm(lo.denominator, hi.denominator), len(coeffs) - 1
+    q, w = _taylor_shift([c * L ** (n - i) for i, c in enumerate(coeffs)], int(lo * L)), int(L * (hi - lo))
+    signs = [c > 0 for c in _taylor_shift([c * w**i for i, c in enumerate(q)][::-1], 1) if c]  # roots in (0, inf)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sign_changes(coeffs, lo, hi, points=()) -> list[Fraction]:
+    """The points in (lo, hi) where the exact polynomial p changes sign, increasing, each a Fraction within
+    delta = 2^-40 (hi - lo) of its root; p's roots at lo, hi and `points` are divided out first.
+
+    A float root x of np.roots is kept where p(x - delta) and p(x + delta) differ in sign, the brackets
+    disjoint in [lo, hi]. If Descartes' rule bounds the roots in (lo, hi) by the number kept, each root
+    there is simple and bracketed once. If not (close or multiple roots), the roots of the squarefree part
+    p/gcd(p, p') are isolated on halved intervals by Descartes' rule (Collins & Akritas 1976), and each
+    where p changes sign is bisected to width 2 delta. No float tolerance decides a root."""
+    lo, hi, D = Fraction(lo), Fraction(hi), math.lcm(*(c.denominator for c in coeffs))
+    N = [c.numerator * (D // c.denominator) for c in coeffs]
+    for x in {*points, lo, hi}:
+        N = _deflate(N, x)
+    if len(N) < 2 or not (bound := _descartes_bound(N, lo, hi)):
         return []
-    rts = np.roots(cf[::-1])
-    dcf = poly_derivative(cf)
-    out = []
-    span = max(hi - lo, 1.0)
-    for r in rts:
-        if abs(r.imag) > 1e-7 * (1.0 + abs(r.real)):
-            continue
-        x = float(r.real)
-        for _ in range(4):
-            d = poly_eval(dcf, x)
-            if d == 0:
-                break
-            x -= poly_eval(cf, x) / d
-        if lo + 1e-14 * span < x < hi - 1e-14 * span:
-            out.append(x)
-    out.sort()
-    dedup: list[float] = []
-    for x in out:
-        if not dedup or x - dedup[-1] > 1e-12 * span:
-            dedup.append(x)
-    return dedup
+    try:  # no float guesses when a coefficient over the leading one is beyond the float range
+        reals = np.roots([c / N[-1] for c in N[::-1]]).real
+    except OverflowError:
+        reals = ()
+    delta, guesses = (hi - lo) / 2**40, sorted({float(x) for x in reals if float(lo) <= x <= float(hi)})
+    brackets = [(x - delta, x, x + delta) for x in map(Fraction, guesses)]
+    kept = [(a, x, b) for a, x, b in brackets if lo <= a and b <= hi and _sign_at(N, a) * _sign_at(N, b) < 0]
+    if len(kept) == bound and all(b <= a for (_, _, b), (a, _, _) in zip(kept, kept[1:])):
+        return [x for _, x, _ in kept]
+    g, h = N, poly_derivative(N)
+    while h:
+        g, h = h, _poly_divmod(g, h)[1]
+    squarefree, out, stack = _poly_divmod(N, g)[0], [], [(lo, hi)]
+    while stack:  # p is nonzero at lo, hi and every split point
+        a, b = stack.pop()
+        count = _descartes_bound(squarefree, a, b)
+        if count > 1:
+            m = (a + b) / 2
+            while not poly_eval(squarefree, m):
+                m = (a + m) / 2
+            stack += [(a, m), (m, b)]
+        elif count and (side := _sign_at(N, a)) != _sign_at(N, b):
+            while b - a > 2 * delta:  # the one root stays in [a, b]
+                m = (a + b) / 2
+                sign = _sign_at(N, m)
+                a, b = (m, b) if sign == side else (a, m) if sign else (m, m)
+            out.append((a + b) / 2)
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -203,20 +252,14 @@ class PiecewisePolynomial:
         return PiecewisePolynomial(self.breakpoints, tuple(poly_derivative(p) for p in self.pieces))
 
     def abs_integral(self) -> float:
-        """Exact integral of |p| over its support."""
+        """Exact integral of |p| over its support, each piece cut at its certified sign changes (each within
+        delta = 2^-40 of the piece's length of its root; no float tolerance decides one). A cut within delta
+        of its root moves the integral by at most 2 delta max|p| over its bracket."""
         total = 0.0
         for i, coeffs in enumerate(self.pieces):
-            if not coeffs:
-                continue
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
             anti = poly_antiderivative(coeffs)
-            # a root of multiplicity near k at a breakpoint scatters the float companion-matrix roots, so
-            # divide the exact breakpoint roots out first; the float roots left are evaluated exactly too,
-            # as near degree 100 a float Horner sum cancels to noise
-            for bp in self.breakpoints:
-                coeffs = _deflate(coeffs, bp)
-            cuts = [lo] + [Fraction(r) for r in _poly_real_roots(coeffs, float(lo), float(hi))] + [hi]
-            values = [poly_eval(anti, x) for x in cuts]
+            values = [poly_eval(anti, x) for x in (lo, *_sign_changes(coeffs, lo, hi, self.breakpoints), hi)]
             for a, b in zip(values, values[1:]):
                 total += abs(float(b - a))
         return total

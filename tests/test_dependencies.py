@@ -19,14 +19,18 @@ import threading
 import numpy as np
 import rnorm, rnorm.cli
 from rnorm import (
-    FiniteReluNet, RadialFunction, bump_poly, laplacian_lower_bound, rnorm_finite_net,
-    rnorm_radial_odd, sample_grid,
+    FiniteReluNet, RadialFunction, bump_finiteness_sweep, bump_poly, laplacian_lower_bound,
+    rnorm_finite_net, rnorm_radial_odd, sample_grid,
 )
 
+# every caller of the exact sign-change routine: abs_integral, both laplacian_lower_bound
+# branches and the exp bump's value
 bump = RadialFunction(3, kind="exp-bump")
 rnorm_radial_odd(bump)
 laplacian_lower_bound(bump)
 rnorm_radial_odd(RadialFunction(5, bump_poly(3)))
+laplacian_lower_bound(RadialFunction(5, bump_poly(4)))
+bump_finiteness_sweep([3], [2, 4])
 rnorm_finite_net(FiniteReluNet(2, ((1.0, np.array([1.0, 0.0]), 0.5),)))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "sympy"))
 assert not loaded, loaded

@@ -221,7 +221,7 @@ class TestRadial:
             assert np.max(np.abs(central - exact)) <= 1e-6 * np.max(np.abs(exact))
             previous = _exp_bump_term(Q[k], 2 * k)
 
-    @pytest.mark.parametrize("k", [50, 80, 400])
+    @pytest.mark.parametrize("k", [50, 80, 400, 1000])
     def test_high_degree_bump_matches_the_dense_quadrature(self, k):
         # a float Horner sum at the float roots read 103.53 for k=50 and 2.4e11 for k=80; with
         # the roots of multiplicity near k at +-1 left in, the float roots read 156.31 for k=400

@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from rnorm.piecewise import (
     DistributionalProfile,
     _deflate,
+    _sign_changes,
     PiecewisePolynomial,
     poly_add,
     poly_antiderivative,
@@ -267,10 +270,14 @@ def test_deflate_divides_out_a_planted_rational_root(cofactor, root, multiplicit
     p = cofactor
     for _ in range(multiplicity):
         p = poly_mul(p, (-root, 1))
-    got = _deflate(p, root)
-    assert got == deflate_two_pass(p, root)
+    D = math.lcm(*(Fraction(c).denominator for c in p))
+    got = _deflate([int(c * D) for c in p], root)
+    assert got == deflate_two_pass([int(c * D) for c in p], root)
+    assert all(type(n) is int for n in got)
     if cofactor and horner(cofactor, root) != 0:
-        assert got == cofactor  # stops at the first power that leaves a non-root
+        # stops at the first power that leaves a non-root: the cofactor, up to a positive scale
+        scale = Fraction(cofactor[-1]) / got[-1]
+        assert scale > 0 and poly_scale(got, scale) == cofactor
     assert _deflate(got, root) == got
 
 
@@ -296,3 +303,89 @@ def test_poly_eval_equals_fraction_horner_exactly(coeffs, ints_only, trailing_ze
     coeffs = tuple([int(c) for c in coeffs] if ints_only else coeffs) + tuple(trailing_zeros)
     got, want = poly_eval(coeffs, x), horner(coeffs, x)
     assert got == want and type(got) is type(want)
+
+
+_ROOTS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@given(
+    st.lists(st.tuples(_ROOTS, st.integers(min_value=1, max_value=3)), max_size=5),
+    st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12),
+    _ROOTS,
+    st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+    st.booleans(),
+    st.booleans(),
+)
+@example([(Fraction(1, 2), 2), (Fraction(1, 3), 1)], 1, 0, 1, False, True)
+@example([(Fraction(1, 2), 3), (Fraction(1, 2), 1)], 1, 0, 1, False, True)
+@example([(Fraction(0), 1), (Fraction(1), 3)], 1, 0, 1, False, True)
+@example([(Fraction(1, 2), 3)], 1, 0, 1, False, True)  # a triple root where (0, 1) is first halved
+@settings(max_examples=150, deadline=None)
+def test_sign_changes_are_the_planted_roots_of_odd_multiplicity(planted, c, lo, width, divide_out, floats):
+    """(x^2 + c) times planted rational roots of multiplicity 1-3, inside (lo, hi), at its ends and outside:
+    the sign changes are the roots of odd multiplicity inside, each within 2^-40 (hi - lo), found with the
+    float guesses or by the exact fallback alone (no float guesses)."""
+    hi = lo + width
+    multiplicity = Counter()
+    for root, m in planted:
+        multiplicity[root] += m
+    p = (c, 0, 1)
+    for root, m in multiplicity.items():
+        for _ in range(m):
+            p = poly_mul(p, (-root, 1))
+    outside = [r for r in multiplicity if not lo < r < hi] if divide_out else []
+    with mock.patch("numpy.roots", np.roots if floats else lambda _: np.array([])):
+        got = _sign_changes(p, lo, hi, outside)
+    want = sorted(r for r, m in multiplicity.items() if lo < r < hi and m % 2)
+    assert len(got) == len(want) and all(type(x) is Fraction for x in got)
+    assert all(abs(x - r) <= (hi - lo) / 2**40 for x, r in zip(got, want))
+
+
+@given(
+    st.lists(_ROOTS, max_size=4, unique=True),
+    _ROOTS,
+    st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=-8, max_value=8)), max_size=6),
+)
+@example([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)], 0, 1, False, [(0, 0), (1, 0), (1, 2)])
+@example([Fraction(1, 2), Fraction(3, 4)], 0, 1, True, [(2, 3), (0, 0)])
+@settings(max_examples=100, deadline=None)
+def test_wrong_float_guesses_change_no_sign_change(roots, lo, width, below, guesses):
+    """Simple roots, one of them delta/2 below lo when `below`, and float guesses at roots shifted by multiples
+    of delta/4, some roots with no guess and some with two: a guess is kept only when its bracket lies in
+    [lo, hi] and clear of the others, so the result is still every root in (lo, hi), each within delta."""
+    hi, delta = lo + width, Fraction(width, 2**40)
+    roots = roots + [lo - delta / 2] * below
+    p = (1,)
+    for r in roots:
+        p = poly_mul(p, (-r, 1))
+    floats = [float(roots[i] + k * delta / 4) for i, k in guesses if i < len(roots)]
+    with mock.patch("numpy.roots", lambda _: np.array(floats)):
+        got = _sign_changes(p, lo, hi)
+    want = sorted(r for r in roots if lo < r < hi)
+    assert len(got) == len(want) and all(abs(x - r) <= delta for x, r in zip(got, want))
+
+
+@pytest.mark.parametrize("gap", [Fraction(1, 10**13), Fraction(1, 10**7)])
+def test_close_roots_are_each_a_sign_change(gap):
+    """(x - 1/5)(x - 1/2)(x - 1/2 - gap) on (0, 1): np.roots is off by 1.5e-8 (gap 1e-13) and 1.0e-9 (gap 1e-7)
+    near 1/2, so no float guess there is certified, and the exact fallback finds all three."""
+    roots = [Fraction(1, 5), Fraction(1, 2), Fraction(1, 2) + gap]
+    p = poly_mul(poly_mul((-roots[0], 1), (-roots[1], 1)), (-roots[2], 1))
+    got = _sign_changes(p, 0, 1)
+    assert len(got) == 3 and all(abs(x - r) <= Fraction(1, 2**40) for x, r in zip(got, roots))
+    anti = poly_antiderivative(p)
+    exact = sum(abs(poly_eval(anti, b) - poly_eval(anti, a)) for a, b in zip([0, *roots], [*roots, 1]))
+    assert PiecewisePolynomial((0, 1), (p,)).abs_integral() == pytest.approx(float(exact), rel=1e-15)
+
+
+def test_coefficients_beyond_the_float_range_are_isolated_exactly():
+    """(x - 1/3)(1 + 10^-400 x) on (0, 1): a coefficient over the leading one is beyond the float range, so
+    there are no float guesses, and the exact fallback finds the sign change."""
+    p = poly_mul((Fraction(-1, 3), 1), (1, Fraction(1, 10**400)))
+    got = _sign_changes(p, 0, 1)
+    assert len(got) == 1 and abs(got[0] - Fraction(1, 3)) <= Fraction(1, 2**40)
+    anti, third = poly_antiderivative(p), Fraction(1, 3)
+    exact = abs(poly_eval(anti, third) - poly_eval(anti, 0)) + abs(poly_eval(anti, 1) - poly_eval(anti, third))
+    assert PiecewisePolynomial((0, 1), (p,)).abs_integral() == pytest.approx(float(exact), rel=1e-15)

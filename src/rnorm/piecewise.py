@@ -1,10 +1,10 @@
 """Exact piecewise-polynomial calculus with distributional (Dirac) bookkeeping.
 
 Polynomials are coefficient lists in ascending powers.  A `PiecewisePolynomial`
-holds `Fraction`s only, a float read as the shortest decimal that rounds to it,
-so derivatives, jumps and antiderivatives are exact and compared exactly.
-Evaluation at a rational point runs on integers: Horner's rule on the numerators
-over one common denominator, with a single `Fraction` built for the result.
+reads every number exactly, a float as the shortest decimal that rounds to it, and
+holds each piece as integer numerators over one denominator, so derivatives, jumps
+and antiderivatives are exact and run on integers: Horner's rule on the numerators,
+with a `Fraction` built only for a result.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from numbers import Rational
+from operator import truediv
 
 import numpy as np
 
@@ -111,11 +112,30 @@ def _deflate(N: list, root) -> list:
     return N
 
 
-def _sign_at(N, x: Fraction) -> int:
-    """The sign of p(x) for the integer coefficients N of p: of b^n p(a/b) = sum N_i a^i b^(n-i), x = a/b."""
+def _horner(N, a: int, b: int) -> int:
+    """b^n N(a/b) = sum N_i a^i b^(n-i) for the integer coefficients N of degree n: Horner's rule on integers."""
     acc, scale = 0, 1
     for n in reversed(N):
-        acc, scale = acc * x.numerator + n * scale, scale * x.denominator
+        acc, scale = acc * a + n * scale, scale * b
+    return acc
+
+
+def _at(N, D: int, a: int, b: int) -> tuple[int, int]:
+    """The polynomial N/D at a/b (b > 0) as a numerator over a positive denominator, (b^n N(a/b), D b^n)."""
+    return _horner(N, a, b), D * b ** max(len(N) - 1, 0)
+
+
+def _antiderivative_at(N, D: int, points) -> list[tuple[int, int]]:
+    """The antiderivative of N/D that is 0 at 0, integer numerators over D lcm(1..n+1) for N of degree n, at each
+    Fraction point by integer Horner, as (numerator, positive denominator) pairs."""
+    L = math.lcm(*range(1, len(N) + 1))
+    anti = (0, *(n * (L // (i + 1)) for i, n in enumerate(N)))
+    return [_at(anti, D * L, x.numerator, x.denominator) for x in points]
+
+
+def _sign_at(N, x: Fraction) -> int:
+    """The sign of p(x) for the integer coefficients N of p."""
+    acc = _horner(N, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 
@@ -146,17 +166,16 @@ def _descartes_bound(coeffs, lo: Fraction, hi: Fraction) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sign_changes(coeffs, lo, hi, points=()) -> list[Fraction]:
-    """The points in (lo, hi) where the exact polynomial p changes sign, increasing, each a Fraction within
-    delta = 2^-40 (hi - lo) of its root; p's roots at lo, hi and `points` are divided out first.
+def _sign_changes(N, lo, hi, points=()) -> list[Fraction]:
+    """The points in (lo, hi) where the polynomial with integer coefficients N changes sign, increasing, each a
+    Fraction within delta = 2^-40 (hi - lo) of its root; N's roots at lo, hi and `points` are divided out first.
 
     A float root x of np.roots is kept where p(x - delta) and p(x + delta) differ in sign, the brackets
     disjoint in [lo, hi]. If Descartes' rule bounds the roots in (lo, hi) by the number kept, each root
     there is simple and bracketed once. If not (close or multiple roots), the roots of the squarefree part
     p/gcd(p, p') are isolated on halved intervals by Descartes' rule (Collins & Akritas 1976), and each
     where p changes sign is bisected to width 2 delta. No float tolerance decides a root."""
-    lo, hi, D = Fraction(lo), Fraction(hi), math.lcm(*(c.denominator for c in coeffs))
-    N = [c.numerator * (D // c.denominator) for c in coeffs]
+    lo, hi = Fraction(lo), Fraction(hi)
     for x in {*points, lo, hi}:
         N = _deflate(N, x)
     if len(N) < 2 or not (bound := _descartes_bound(N, lo, hi)):
@@ -191,26 +210,61 @@ def _sign_changes(coeffs, lo, hi, points=()) -> list[Fraction]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
 class PiecewisePolynomial:
     """Piecewise polynomial on consecutive intervals between sorted breakpoints,
     identically zero outside [breakpoints[0], breakpoints[-1]].
+
+    The breakpoints are Fractions.  Each piece is held once, as integer numerators N (ascending
+    powers, no trailing zero) over one positive denominator D; the constructor is the one place
+    that reads and checks that form.  `pieces` is the Fraction view N_i/D, built when read.
     """
 
-    breakpoints: tuple = ()
-    pieces: tuple = ()
+    __slots__ = ("breakpoints", "_pieces")
 
-    def __post_init__(self):
-        bps = [_as_exact(b) for b in self.breakpoints]
+    def __init__(self, breakpoints=(), pieces=()):
+        bps = tuple(_as_exact(b) for b in breakpoints)
         for a, b in zip(bps, bps[1:]):
             if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")
-        if len(self.pieces) != max(len(self.breakpoints) - 1, 0):
+        if len(pieces) != max(len(bps) - 1, 0):
             raise ValueError("need exactly one piece per breakpoint interval")
-        object.__setattr__(self, "breakpoints", tuple(bps))
-        object.__setattr__(
-            self, "pieces", tuple(poly_trim(tuple(_as_exact(c) for c in p)) for p in self.pieces)
-        )
+        held = []
+        for p in pieces:
+            c = poly_trim(tuple(x if type(x) is int else _as_exact(x) for x in p))
+            D = math.lcm(*(x.denominator for x in c))
+            held.append((tuple(x.numerator * (D // x.denominator) for x in c), D))
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "_pieces", tuple(held))
+
+    @classmethod
+    def _of(cls, breakpoints: tuple, pieces: tuple) -> "PiecewisePolynomial":
+        """The polynomial of checked Fraction breakpoints and (N, D) pieces, taken as they are."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "breakpoints", breakpoints)
+        object.__setattr__(p, "_pieces", pieces)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PiecewisePolynomial is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return PiecewisePolynomial._of, (self.breakpoints, self._pieces)
+
+    @property
+    def pieces(self) -> tuple:
+        """Each piece's coefficients as Fractions, ascending, with no trailing zero."""
+        return tuple(tuple(Fraction(n, D) for n in N) for N, D in self._pieces)
+
+    def __eq__(self, other):
+        if not isinstance(other, PiecewisePolynomial):
+            return NotImplemented
+        return self.breakpoints == other.breakpoints and self.pieces == other.pieces
+
+    def __hash__(self):
+        return hash((self.breakpoints, self.pieces))
+
+    def __repr__(self):
+        return f"PiecewisePolynomial(breakpoints={self.breakpoints!r}, pieces={self.pieces!r})"
 
     @staticmethod
     def zero() -> "PiecewisePolynomial":
@@ -218,51 +272,68 @@ class PiecewisePolynomial:
 
     @property
     def is_zero(self) -> bool:
-        return all(not p for p in self.pieces)
+        return all(not N for N, _ in self._pieces)
 
     def _piece_index(self, b) -> np.ndarray:
         """Index of the piece holding each b (right-open intervals, the last one
         closed); -1 outside the support, where the function is zero."""
-        n = len(self.pieces)
+        n = len(self._pieces)
         bps = np.array(self.breakpoints, dtype=float)
         i = np.searchsorted(bps, b, side="right") - 1
         inside = (i >= 0) & (np.searchsorted(bps, b, side="left") <= n)
         return np.where(inside, np.minimum(i, n - 1), -1)
 
     def __call__(self, b):
-        """p at b, or at each point of an array b: poly_eval at Fraction(b), rounded once; 0 off the support."""
+        """p at b, or at each point of an array b: exact at the float's binary value, rounded once; 0 off the
+        support."""
         x = np.asarray(b, dtype=float)
         points = zip(x.ravel().tolist(), self._piece_index(x).ravel().tolist())
-        out = np.array([float(poly_eval(self.pieces[i], Fraction(v))) if i >= 0 else 0.0 for v, i in points])
+        out = np.array(
+            [truediv(*_at(*self._pieces[i], *v.as_integer_ratio())) if i >= 0 else 0.0 for v, i in points]
+        )
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def boundary_jumps(self) -> list[tuple]:
-        """(location, jump) at each breakpoint; jump = right limit - left limit."""
+        """(location, jump) at each breakpoint where jump = right limit - left limit is nonzero, exact: each
+        piece's two end values by integer Horner on its numerators, and one Fraction per nonzero jump."""
+        bps, zero = self.breakpoints, (0, 1)
+        ends = [(_at(N, D, lo.numerator, lo.denominator), _at(N, D, hi.numerator, hi.denominator))
+                for lo, hi, (N, D) in zip(bps, bps[1:], self._pieces)]
         out = []
-        n = len(self.pieces)
-        for idx, bp in enumerate(self.breakpoints):
-            left = poly_eval(self.pieces[idx - 1], bp) if idx > 0 else 0
-            right = poly_eval(self.pieces[idx], bp) if idx < n else 0
-            jump = right - left
-            if jump != 0:
-                out.append((bp, jump))
+        for x, ((a, b), _), (_, (c, e)) in zip(bps, [*ends, (zero, zero)], [(zero, zero), *ends]):
+            if jump := a * e - c * b:  # right limit a/b minus left limit c/e
+                out.append((x, Fraction(jump, b * e)))
         return out
 
     def derivative_pieces(self) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(self.breakpoints, tuple(poly_derivative(p) for p in self.pieces))
+        """The piecewise derivative: numerators (i + 1) N_(i+1) over the same denominators, not checked again."""
+        return PiecewisePolynomial._of(
+            self.breakpoints, tuple((tuple(i * n for i, n in enumerate(N) if i), D) for N, D in self._pieces)
+        )
 
-    def abs_integral(self) -> float:
-        """Exact integral of |p| over its support, each piece cut at its certified sign changes (each within
-        delta = 2^-40 of the piece's length of its root; no float tolerance decides one). A cut within delta
-        of its root moves the integral by at most 2 delta max|p| over its bracket."""
-        total = 0.0
-        for i, coeffs in enumerate(self.pieces):
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            anti = poly_antiderivative(coeffs)
-            values = [poly_eval(anti, x) for x in (lo, *_sign_changes(coeffs, lo, hi, self.breakpoints), hi)]
-            for a, b in zip(values, values[1:]):
-                total += abs(float(b - a))
-        return total
+    def abs_integral(self) -> tuple[float, float]:
+        """The integral of |p| over its support, and a bound on that float's error.
+
+        Each piece N/D is cut at its certified sign changes, each within delta = 2^-40 of the piece's
+        length of its root (no float tolerance decides one).  Its antiderivative, integer numerators over
+        D lcm(1..n+1) for degree n, is evaluated by integer Horner at lo, the cuts and hi, and each
+        |difference| is rounded once to a float.  A cut x within delta of its root r moves the integral by at
+        most 2 |int_r^x p| <= delta^2 S'(t) for any t >= |x| + delta, where S(t) = sum |N_i| t^i / D, so that
+        |p'| <= S'(t) on [-t, t]; the float sum adds at most one ulp of the total per term."""
+        total, error, terms = 0.0, 0.0, 0
+        for lo, hi, (N, D) in zip(self.breakpoints, self.breakpoints[1:], self._pieces):
+            cuts = _sign_changes(N, lo, hi, self.breakpoints)
+            values = _antiderivative_at(N, D, (lo, *cuts, hi))
+            for (a, b), (c, e) in zip(values, values[1:]):
+                total += abs((c * b - a * e) / (b * e))
+            terms += len(cuts) + 1
+            delta, slope = (hi - lo) / 2**40, [i * abs(n) for i, n in enumerate(N)][1:]
+            for x in cuts:
+                frac, exponent = math.frexp(float(abs(x) + delta))  # t >= |x| + delta with a 17-bit numerator
+                t = math.ldexp(math.floor(math.ldexp(frac, 16)) + 2, exponent - 16)
+                num, den = _at(slope, D, *t.as_integer_ratio())
+                error += delta.numerator**2 * num / (delta.denominator**2 * den)
+        return total, error + terms * math.ulp(total)
 
 
 @dataclass(frozen=True)
@@ -290,8 +361,11 @@ def profile_derivative(q: DistributionalProfile) -> DistributionalProfile:
     return DistributionalProfile(q.ac.derivative_pieces(), tuple(q.ac.boundary_jumps()), order)
 
 
-def profile_l1(q: DistributionalProfile) -> float:
-    """Total variation: integral of |ac| plus summed |atom masses|; inf past order 0."""
+def profile_l1(q: DistributionalProfile) -> tuple[float, float | None]:
+    """Total variation, the integral of |ac| plus summed |atom masses|, and a bound on its error
+    (abs_integral's, plus one ulp of the total per atom); (inf, None) past order 0."""
     if q.atom_derivative_order >= 1:
-        return math.inf
-    return q.ac.abs_integral() + sum(abs(float(m)) for _, m in q.atoms)
+        return math.inf, None
+    integral, error = q.ac.abs_integral()
+    total = integral + sum(abs(float(m)) for _, m in q.atoms)
+    return total, error + len(q.atoms) * math.ulp(total)

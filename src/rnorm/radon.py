@@ -125,7 +125,7 @@ def radial_radon_profile(f: RadialFunction) -> PiecewisePolynomial:
     if f.kind != "polynomial":
         raise ValueError("exact radial profile requires a piecewise-polynomial g")
     g = f.g
-    if g.is_zero or not g.pieces:
+    if g.is_zero:
         return PiecewisePolynomial.zero()
     m = (f.d - 3) // 2
     bps, pieces = list(g.breakpoints), list(g.pieces)

@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from rnorm import FiniteReluNet, GridFunction2D, PiecewisePolynomial, RayDecaySample, Sinogram, constants
+from rnorm import (
+    FiniteReluNet, GridFunction2D, PiecewisePolynomial, RadialFunction, RayDecaySample, Sinogram, constants,
+    radial_radon_profile,
+)
 from rnorm.fitting import FitResult
 from rnorm.grids import read_table_csv, write_table_csv
+from rnorm.piecewise import _sign_changes
 
 
 def grid_axis(f: GridFunction2D) -> np.ndarray:
@@ -69,6 +73,56 @@ def eval_exact(p: PiecewisePolynomial, b):
     """p(b) in exact arithmetic when b and p's coefficients are rational; Fraction(0) outside the support."""
     i = int(p._piece_index(float(b)))
     return horner(p.pieces[i], b) if i >= 0 else Fraction(0)
+
+
+def derivative_fraction(p: PiecewisePolynomial) -> tuple:
+    """The pieces of p's derivative by Fraction arithmetic, i c_i at power i - 1: the reference for
+    PiecewisePolynomial.derivative_pieces."""
+    return tuple(tuple(i * c for i, c in enumerate(piece))[1:] for piece in p.pieces)
+
+
+def boundary_jumps_fraction(p: PiecewisePolynomial) -> list[tuple]:
+    """(location, right limit - left limit) at each breakpoint where it is nonzero, each limit a Fraction Horner
+    sum of p's Fraction pieces: the reference for PiecewisePolynomial.boundary_jumps."""
+    out, n = [], len(p.pieces)
+    for i, x in enumerate(p.breakpoints):
+        jump = (horner(p.pieces[i], x) if i < n else 0) - (horner(p.pieces[i - 1], x) if i > 0 else 0)
+        if jump != 0:
+            out.append((x, jump))
+    return out
+
+
+def antiderivative_fraction(coeffs) -> tuple:
+    """The antiderivative of the exact polynomial coeffs that is 0 at 0, c_i/(i + 1) at power i + 1."""
+    return (0, *(Fraction(c) / (i + 1) for i, c in enumerate(coeffs)))
+
+
+def abs_integral_fraction(p: PiecewisePolynomial) -> float:
+    """The integral of |p| at PiecewisePolynomial.abs_integral's cuts, each |difference| of the Fraction
+    antiderivative at consecutive points rounded once: the reference for its value."""
+    total = 0.0
+    for lo, hi, piece in zip(p.breakpoints, p.breakpoints[1:], p.pieces):
+        D = math.lcm(*(c.denominator for c in piece))
+        cuts = _sign_changes([int(c * D) for c in piece], lo, hi, p.breakpoints)
+        values = [horner(antiderivative_fraction(piece), x) for x in (lo, *cuts, hi)]
+        for a, b in zip(values, values[1:]):
+            total += abs(float(b - a))
+    return total
+
+
+def radial_report_fraction(f: RadialFunction) -> tuple[float, list, int]:
+    """rnorm_radial_odd's value, atoms and atom derivative order for a polynomial profile, with the d + 1
+    derivatives, their jumps and the final integral by the Fraction formulas above."""
+    p, atoms, order = radial_radon_profile(f), (), 0
+    for _ in range(f.d + 1):
+        if atoms or order > 0:
+            order += 1
+        p, atoms = PiecewisePolynomial(p.breakpoints, derivative_fraction(p)), tuple(boundary_jumps_fraction(p))
+    diagnostics = [[float(loc), float(m)] for loc, m in atoms]
+    if order:
+        return math.inf, diagnostics, order
+    tv = abs_integral_fraction(p) + sum(abs(float(m)) for _, m in atoms)
+    return tv / math.factorial(f.d - 2), diagnostics, order
 
 
 def bump_poly_d3_rnorm(k: int, n: int = 2_000_000) -> float:

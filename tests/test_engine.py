@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from rnorm.engine import _exp_bump_factors, _exp_bump_term
 from rnorm.piecewise import PiecewisePolynomial, poly_antiderivative, poly_eval, poly_mul
 from rnorm.radon import UnsupportedDimensionError
 
-from oracles import bump_poly_d3_rnorm, exp_bump_laplacian_max, grid_axis, horner
+from oracles import bump_poly_d3_rnorm, exp_bump_laplacian_max, grid_axis, horner, radial_report_fraction
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -247,8 +248,49 @@ class TestRadial:
                 change = _sphere_average(profile.ac, d, r) - _sphere_average(profile.ac, d, r0)
                 assert change == _kappa(d) * (poly_eval(g.pieces[0], r) - poly_eval(g.pieces[0], r0)), (k, r)
             profile = profile_derivative(profile_derivative(profile))
-            total_variation = Fraction(profile_l1(profile)) * AREA_RATIO[d] / abs(_kappa(d))
+            total_variation = Fraction(profile_l1(profile)[0]) * AREA_RATIO[d] / abs(_kappa(d))
             assert rnorm_radial_odd(RadialFunction(d, g)).value == float(total_variation), k
+
+    @pytest.mark.parametrize(
+        "d,k,eps,value",
+        [
+            (3, 4, 1, 27.01557372654237),
+            (5, 6, 1, 55.45427790015696),
+            (7, 8, 1, 89.71565925166864),
+            (9, 8, Fraction(12, 5), 55.15486259578987),
+        ],
+    )
+    def test_published_values_bit_for_bit(self, d, k, eps, value):
+        assert rnorm_radial_odd(RadialFunction(d, bump_poly(k, dilation=eps))).value == value
+
+    def test_published_exp_bump_value_bit_for_bit(self):
+        assert rnorm_radial_odd(RadialFunction(3, kind="exp-bump")).value == 35.14363099909825
+
+    def test_error_estimate_bounds_the_quartic_error(self):
+        """d=3, (1-r^2)^2: the value 32 + 32/sqrt(5) is irrational, so the float is off by rounding at
+        least, and the estimate (cut displacement plus one ulp per summed term) covers that error."""
+        rep = rnorm_radial_odd(RadialFunction(3, bump_poly(2)))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = 32 + 32 / decimal.Decimal(5).sqrt()
+            assert 0 < abs(decimal.Decimal(rep.value) - exact) <= decimal.Decimal(rep.error_estimate)
+        assert rep.error_estimate <= 1e-14 * rep.value
+
+    def test_fraction_count_of_one_radial_norm(self, monkeypatch):
+        """The exact calculus builds a Fraction only at construction, for .pieces and for a reported value:
+        d=7, k=6 builds 267 (468 when every coefficient was a Fraction), so per-coefficient Fractions
+        coming back fail here, with no timing."""
+        count, new = 0, Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        rnorm_radial_odd(RadialFunction(7, bump_poly(6)))
+        monkeypatch.undo()
+        assert 0 < count <= 300
 
     def test_infinite_case_reports_diagnostics(self):
         rep = rnorm_radial_odd(RadialFunction(5, bump_poly(1)))
@@ -256,23 +298,20 @@ class TestRadial:
         assert rep.diagnostics["atom_derivative_order"] >= 1
 
     def test_report_is_the_same_under_the_fraction_horner_oracle(self, monkeypatch):
-        """Integer evaluation at rational points changes no value, atom or derivative order,
-        on finite and infinite norms alike."""
+        """The derivatives, jumps and integral on integer numerators change no value, atom or derivative
+        order against the Fraction formulas, on finite and infinite norms alike; the oracle's Radon
+        profile evaluates by Fraction Horner steps."""
         dilations = (1, Fraction(7, 5), Fraction(3, 11))
         cases = [(d, k, eps) for d in (3, 5, 7, 9) for k in range(1, 8) for eps in dilations]
-
-        def reports():
-            return [rnorm_radial_odd(RadialFunction(d, bump_poly(k, dilation=eps))) for d, k, eps in cases]
-
-        production = reports()
-        for module in ("rnorm.piecewise", "rnorm.radon", "rnorm.engine"):
-            monkeypatch.setattr(f"{module}.poly_eval", horner)
-        oracle = reports()
+        production = [rnorm_radial_odd(RadialFunction(d, bump_poly(k, dilation=eps))) for d, k, eps in cases]
+        monkeypatch.setattr("rnorm.radon.poly_eval", horner)
         assert any(r.is_infinite for r in production) and not all(r.is_infinite for r in production)
-        for case, got, want in zip(cases, production, oracle):
-            assert got.value == want.value, case
-            assert got.diagnostics["atoms"] == want.diagnostics["atoms"], case
-            assert got.diagnostics["atom_derivative_order"] == want.diagnostics["atom_derivative_order"], case
+        for case, got in zip(cases, production):
+            d, k, eps = case
+            value, atoms, order = radial_report_fraction(RadialFunction(d, bump_poly(k, dilation=eps)))
+            assert got.value == value, case
+            assert got.diagnostics["atoms"] == atoms, case
+            assert got.diagnostics["atom_derivative_order"] == order, case
 
 
 class TestBounds:
@@ -310,6 +349,10 @@ class TestLaplacianBound:
         for d, k in [(3, 4), (3, 80), (3, 120), (5, 80), (5, 120), (3, 400), (3, 1000), (5, 400), (5, 1000)]:
             bound = laplacian_lower_bound(RadialFunction(d, bump_poly(k)))
             assert bound == pytest.approx(2 * d * k, rel=1e-12), (d, k)
+
+    def test_published_values_bit_for_bit(self):
+        assert laplacian_lower_bound(RadialFunction(3, bump_poly(80))) == 480.0
+        assert laplacian_lower_bound(RadialFunction(5, bump_poly(80))) == 800.0
 
     def test_exp_bump(self):
         # the oracle gives 7.1244950673416... at d=3 and 6.5642459377566... at d=5

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rnorm.piecewise import (
     DistributionalProfile,
+    _antiderivative_at,
     _deflate,
     _sign_changes,
     PiecewisePolynomial,
@@ -26,7 +27,10 @@ from rnorm.piecewise import (
 from rnorm.engine import rnorm_radial_odd
 from rnorm.radon import RadialFunction, bump_poly
 
-from oracles import deflate_two_pass, eval_exact, horner
+from oracles import (
+    abs_integral_fraction, antiderivative_fraction, boundary_jumps_fraction, deflate_two_pass, derivative_fraction,
+    eval_exact, horner,
+)
 
 
 def _bump_pw(k: int) -> PiecewisePolynomial:
@@ -69,7 +73,7 @@ class TestPiecewisePolynomial:
     def test_pieces_need_breakpoints(self, breakpoints):
         with pytest.raises(ValueError, match="one piece per breakpoint interval"):
             PiecewisePolynomial(breakpoints, ((1,),))
-        assert PiecewisePolynomial(breakpoints, ()).abs_integral() == 0.0
+        assert PiecewisePolynomial(breakpoints, ()).abs_integral() == (0.0, 0.0)
 
     def test_compact_evaluation(self):
         p = PiecewisePolynomial((0, 1), ((0, 1),))  # b on [0, 1]
@@ -116,13 +120,13 @@ class TestPiecewisePolynomial:
         # |60 b^2 - 12| on [0, 1] = 8 + 16/sqrt(5) exactly
         p = PiecewisePolynomial((0, 1), ((-12, 0, 60),))
         expected = 8.0 + 16.0 / math.sqrt(5.0)
-        assert p.abs_integral() == pytest.approx(expected, rel=1e-12)
+        assert p.abs_integral()[0] == pytest.approx(expected, rel=1e-12)
 
     def test_abs_integral_matches_quadrature(self):
         p = PiecewisePolynomial((0, 1), ((-12, 0, 60),))
         xs = np.linspace(0.0, 1.0, 1_000_001)
         quad = np.trapezoid(np.abs(-12.0 + 60.0 * xs**2), xs)
-        assert p.abs_integral() == pytest.approx(quad, rel=1e-8)
+        assert p.abs_integral()[0] == pytest.approx(quad, rel=1e-8)
 
 
 class TestExactInputs:
@@ -178,6 +182,52 @@ def test_stored_numbers_are_fractions(breakpoints, coeffs):
     assert all(piece == poly_trim(tuple(map(_decimal, coeffs))) for piece in p.pieces)
 
 
+
+# coefficients as a profile may state them (ints, Fractions, floats read as decimals), zeros of every type
+_COEFFS = st.one_of(
+    st.sampled_from([0, Fraction(0), 0.0]),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(max_denominator=10**6),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+# breakpoints with large or coprime denominators
+_BREAKPOINTS = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=10**12),
+    st.sampled_from([Fraction(1, 7), Fraction(-3, 11), Fraction(5, 13), Fraction(1, 2**61 - 1)]),
+    st.floats(min_value=-5, max_value=5),
+)
+
+
+@given(
+    st.lists(_BREAKPOINTS, min_size=2, max_size=4, unique_by=_decimal),
+    st.lists(st.lists(_COEFFS, max_size=6), min_size=3, max_size=3),
+    st.lists(st.sampled_from([0, Fraction(0), 0.0]), max_size=2),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**4),
+)
+@example([0, 1], [[], [0, 0.0], [1]], [0.0], Fraction(1, 2))
+@example([Fraction(1, 7), Fraction(5, 13), 0.5], [[0.1, Fraction(2, 3), 7], [0, 0, 5], []], [], Fraction(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_integer_numerators_agree_with_the_fraction_formulas(breakpoints, coeffs, trailing_zeros, t):
+    """Pieces held as integer numerators over one denominator give the Fraction view, the derivative, the
+    jumps, the antiderivative's values and the integral of the Fraction formulas exactly; a derivative
+    taken without the constructor's checks equals the one built through them, and would pass them."""
+    breakpoints = sorted(breakpoints, key=_decimal)
+    pieces = tuple(tuple(c) + tuple(trailing_zeros) for c in coeffs[: len(breakpoints) - 1])
+    p = PiecewisePolynomial(breakpoints, pieces)
+    assert p.pieces == tuple(poly_trim(tuple(map(_decimal, c))) for c in pieces)
+    q = p.derivative_pieces()
+    assert q.pieces == derivative_fraction(p)
+    assert q == PiecewisePolynomial(p.breakpoints, derivative_fraction(p))
+    assert all(type(D) is int and D > 0 and all(type(n) is int for n in N) and (not N or N[-1]) for N, D in q._pieces)
+    assert p.boundary_jumps() == boundary_jumps_fraction(p)
+    assert q.boundary_jumps() == boundary_jumps_fraction(q)
+    for lo, hi, piece, (N, D) in zip(p.breakpoints, p.breakpoints[1:], p.pieces, p._pieces):
+        points = (lo, lo + t * (hi - lo), hi)
+        anti = antiderivative_fraction(piece)
+        assert [Fraction(*v) for v in _antiderivative_at(N, D, points)] == [horner(anti, x) for x in points]
+    assert p.abs_integral()[0] == abs_integral_fraction(p)
+
 class TestDistributionalCalculus:
     def test_cubic_bump_fourth_derivative_atoms(self):
         # (1-b^2)^3 is C^2 at +/-1; the third derivative 72b - 120b^3 jumps by
@@ -201,10 +251,10 @@ class TestDistributionalCalculus:
         for _ in range(k):
             profile = profile_derivative(profile)
         assert profile.atoms and profile.atom_derivative_order == 0
-        assert math.isfinite(profile_l1(profile))
+        assert math.isfinite(profile_l1(profile)[0])
         beyond = profile_derivative(profile)
         assert beyond.atom_derivative_order >= 1
-        assert math.isinf(profile_l1(beyond))
+        assert profile_l1(beyond) == (math.inf, None)
 
     def test_smooth_interior_breakpoint_makes_no_atom(self):
         p = PiecewisePolynomial((-1, 0, 1), ((0, 1), (0, 1)))  # b with a redundant break
@@ -215,7 +265,7 @@ class TestDistributionalCalculus:
 
     def test_profile_l1_adds_atom_masses(self):
         q = DistributionalProfile(PiecewisePolynomial((0, 1), ((1,),)), atoms=((0.5, -2.0),))
-        assert profile_l1(q) == pytest.approx(3.0, rel=1e-15)
+        assert profile_l1(q)[0] == pytest.approx(3.0, rel=1e-15)
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5))
@@ -224,7 +274,7 @@ def test_abs_integral_dominates_signed_integral(coeffs):
     p = PiecewisePolynomial((0, 1), (tuple(coeffs),))
     anti = poly_antiderivative(tuple(coeffs))
     signed = float(poly_eval(anti, 1)) - float(poly_eval(anti, 0))
-    assert p.abs_integral() + 1e-12 >= abs(signed)
+    assert p.abs_integral()[0] + 1e-12 >= abs(signed)
 
 
 # mostly zeros, as in a profile of an even bump: ints and Fractions mixed, zeros of both types
@@ -308,6 +358,12 @@ def test_poly_eval_equals_fraction_horner_exactly(coeffs, ints_only, trailing_ze
 _ROOTS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
+def _numerators(p) -> list[int]:
+    """The exact polynomial p over its least common denominator: the integer coefficients _sign_changes takes."""
+    D = math.lcm(*(Fraction(c).denominator for c in p))
+    return [int(c * D) for c in p]
+
+
 @given(
     st.lists(st.tuples(_ROOTS, st.integers(min_value=1, max_value=3)), max_size=5),
     st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12),
@@ -335,7 +391,7 @@ def test_sign_changes_are_the_planted_roots_of_odd_multiplicity(planted, c, lo, 
             p = poly_mul(p, (-root, 1))
     outside = [r for r in multiplicity if not lo < r < hi] if divide_out else []
     with mock.patch("numpy.roots", np.roots if floats else lambda _: np.array([])):
-        got = _sign_changes(p, lo, hi, outside)
+        got = _sign_changes(_numerators(p), lo, hi, outside)
     want = sorted(r for r, m in multiplicity.items() if lo < r < hi and m % 2)
     assert len(got) == len(want) and all(type(x) is Fraction for x in got)
     assert all(abs(x - r) <= (hi - lo) / 2**40 for x, r in zip(got, want))
@@ -362,7 +418,7 @@ def test_wrong_float_guesses_change_no_sign_change(roots, lo, width, below, gues
         p = poly_mul(p, (-r, 1))
     floats = [float(roots[i] + k * delta / 4) for i, k in guesses if i < len(roots)]
     with mock.patch("numpy.roots", lambda _: np.array(floats)):
-        got = _sign_changes(p, lo, hi)
+        got = _sign_changes(_numerators(p), lo, hi)
     want = sorted(r for r in roots if lo < r < hi)
     assert len(got) == len(want) and all(abs(x - r) <= delta for x, r in zip(got, want))
 
@@ -373,19 +429,21 @@ def test_close_roots_are_each_a_sign_change(gap):
     near 1/2, so no float guess there is certified, and the exact fallback finds all three."""
     roots = [Fraction(1, 5), Fraction(1, 2), Fraction(1, 2) + gap]
     p = poly_mul(poly_mul((-roots[0], 1), (-roots[1], 1)), (-roots[2], 1))
-    got = _sign_changes(p, 0, 1)
+    got = _sign_changes(_numerators(p), 0, 1)
     assert len(got) == 3 and all(abs(x - r) <= Fraction(1, 2**40) for x, r in zip(got, roots))
     anti = poly_antiderivative(p)
     exact = sum(abs(poly_eval(anti, b) - poly_eval(anti, a)) for a, b in zip([0, *roots], [*roots, 1]))
-    assert PiecewisePolynomial((0, 1), (p,)).abs_integral() == pytest.approx(float(exact), rel=1e-15)
+    value, error = PiecewisePolynomial((0, 1), (p,)).abs_integral()
+    assert value == pytest.approx(float(exact), rel=1e-15) and abs(value - float(exact)) <= error
 
 
 def test_coefficients_beyond_the_float_range_are_isolated_exactly():
     """(x - 1/3)(1 + 10^-400 x) on (0, 1): a coefficient over the leading one is beyond the float range, so
     there are no float guesses, and the exact fallback finds the sign change."""
     p = poly_mul((Fraction(-1, 3), 1), (1, Fraction(1, 10**400)))
-    got = _sign_changes(p, 0, 1)
+    got = _sign_changes(_numerators(p), 0, 1)
     assert len(got) == 1 and abs(got[0] - Fraction(1, 3)) <= Fraction(1, 2**40)
     anti, third = poly_antiderivative(p), Fraction(1, 3)
     exact = abs(poly_eval(anti, third) - poly_eval(anti, 0)) + abs(poly_eval(anti, 1) - poly_eval(anti, third))
-    assert PiecewisePolynomial((0, 1), (p,)).abs_integral() == pytest.approx(float(exact), rel=1e-15)
+    value, error = PiecewisePolynomial((0, 1), (p,)).abs_integral()
+    assert value == pytest.approx(float(exact), rel=1e-15) and abs(value - float(exact)) <= error
